@@ -80,6 +80,6 @@ int main(int argc, char** argv) {
       "grouping collapses to 1 group on HPL/CG (global chains); Algorithm 2 "
       "keeps bounded groups; only truly disjoint traffic (stencil blocks) "
       "stays partitioned under dynamic merging",
-      t, csv, camp.unfinished_runs);
+      t, csv, &camp);
   return 0;
 }

@@ -138,6 +138,6 @@ int main(int argc, char** argv) {
       "outage; spot warnings convert to clean exits when the storage tier "
       "commits inside the window; NORM pays whole-cluster coordination per "
       "event",
-      t, csv, camp.unfinished_runs);
+      t, csv, &camp);
   return 0;
 }

@@ -73,6 +73,6 @@ int main(int argc, char** argv) {
       "Ablation A3 - time-to-completion with one mid-run group failure vs "
       "checkpoint interval (HPL). Expect: GP benefits from short intervals "
       "(cheap checkpoints, less lost work); NORM pays for them",
-      t, csv, camp.unfinished_runs);
+      t, csv, &camp);
   return 0;
 }

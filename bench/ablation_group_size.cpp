@@ -70,6 +70,6 @@ int main(int argc, char** argv) {
   bench::emit(
       "Ablation A1 - max group size sweep (HPL). Expect: logging shrinks "
       "with G; coordination grows with G; best G larger on faster networks",
-      t, csv, camp.unfinished_runs);
+      t, csv, &camp);
   return 0;
 }

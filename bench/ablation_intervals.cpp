@@ -107,6 +107,6 @@ int main(int argc, char** argv) {
       "Ablation A4 - per-group planned intervals under a flaky group. "
       "Expect: planned ~ matches the best uniform schedule or beats both "
       "(short protection where failures are, low overhead elsewhere)",
-      t, csv, camp.unfinished_runs);
+      t, csv, &camp);
   return 0;
 }

@@ -147,6 +147,6 @@ int main(int argc, char** argv) {
       "(exp/weibull/burst/trace fault models, HPL). Expect: GP degrades "
       "gracefully when faults overlap (per-group damage, queued "
       "recoveries); NORM restarts the world on every fault",
-      t, csv, camp.unfinished_runs);
+      t, csv, &camp);
   return 0;
 }

@@ -5,11 +5,8 @@
 // paper's expected qualitative shape, (b) a table of measured values, and
 // optionally CSV (--csv).
 //
-// Parallelism knobs multiply: `--jobs J` runs J simulations concurrently
-// and `--shards S` (where a bench declares it; Cli::get_shards) gives each
-// simulation S engine threads, so the process uses up to J*S threads. Use
-// --jobs for throughput across a sweep and --shards for latency of a
-// single big run; outputs are byte-identical either way. Modes follow the paper's notation: GP
+// `--jobs J` runs J simulations concurrently, one thread each; outputs are
+// byte-identical for any J. Modes follow the paper's notation: GP
 // (trace-derived groups), GP1 (uncoordinated + logging), GP4 (ad-hoc 4
 // sequential-rank groups), NORM (global coordinated).
 #pragma once
@@ -133,21 +130,28 @@ inline std::string cell_max(const RunningStats& s, int decimals) {
 }
 
 /// Prints the table and optional CSV, with a header naming the experiment.
-/// A positive `unfinished_runs` (from CampaignResult) adds a warning line:
-/// those runs hit the watchdog and are NOT part of the averages.
+/// Runs the campaign left out of the averages each add a warning line:
+/// watchdog trips and vacuous runs (ExperimentResult::vacuous).
 inline void emit(const std::string& title, const Table& table, bool csv,
-                 int unfinished_runs = 0) {
+                 const exp::CampaignResult* camp = nullptr) {
   std::printf("== %s ==\n", title.c_str());
   table.print(std::cout);
   if (csv) {
     std::printf("-- csv --\n");
     table.print_csv(std::cout);
   }
-  if (unfinished_runs > 0) {
+  if (camp != nullptr && camp->unfinished_runs > 0) {
     std::printf(
         "WARNING: %d run(s) tripped the watchdog (finished == false) and "
         "are excluded from the averages above\n",
-        unfinished_runs);
+        camp->unfinished_runs);
+  }
+  if (camp != nullptr && camp->vacuous_runs > 0) {
+    std::printf(
+        "WARNING: %d run(s) issued checkpoint rounds but completed none "
+        "(checkpoints_completed == 0) and are excluded from the averages "
+        "above\n",
+        camp->vacuous_runs);
   }
   std::printf("\n");
 }

@@ -48,6 +48,6 @@ int main(int argc, char** argv) {
   bench::emit(
       "Figure 1 - aggregate coordination time of one global checkpoint "
       "(HPL, NORM). Expect: growth with n, spiky (OS stragglers)",
-      table, csv, camp.unfinished_runs);
+      table, csv, &camp);
   return 0;
 }

@@ -76,6 +76,6 @@ int main(int argc, char** argv) {
   bench::emit(
       "Figure 2 - VCL blocking behavior. Expect: checkpoint windows and gap "
       "share far larger at 128 than at 32 (non-blocking turns blocking)",
-      table, csv, camp.unfinished_runs);
+      table, csv, &camp);
   return 0;
 }

@@ -16,14 +16,12 @@ int main(int argc, char** argv) {
   opt.reps = cli.get_reps(5);
   const bool csv = cli.get_bool("csv", false, "emit CSV");
   const int jobs = cli.get_jobs();
-  opt.shards = cli.get_shards();
   const bool fault = cli.get_bool(
       "fault", false, "kill group 0 at t=80s (restore-from-image e2e)");
   cli.finish();
   opt.restart_after_finish = false;  // 5a/5b only need execution time
   // Post-checkpoint failure: the t=60s image exists, so the run exercises
-  // the full kill -> restore -> replay path (CI drives this at --shards 4
-  // under TSan, where the kill/restore fan-out crosses resident shards).
+  // the full kill -> restore -> replay path.
   if (fault) opt.failures = {{0, 80.0}};
 
   const exp::Scenario sc = bench::hpl_scenario(
@@ -55,10 +53,10 @@ int main(int argc, char** argv) {
                  diff(gp4, norm)});
   }
   bench::emit("Figure 5a - HPL execution time, one checkpoint at t=60s",
-              t5a, csv, camp.unfinished_runs);
+              t5a, csv, &camp);
   bench::emit(
       "Figure 5b - difference from NORM (lower is better). Expect: GP "
       "advantage grows with scale",
-      t5b, csv, camp.unfinished_runs);
+      t5b, csv, &camp);
   return 0;
 }

@@ -46,10 +46,10 @@ int main(int argc, char** argv) {
   bench::emit(
       "Figure 6a - summed checkpoint time (HPL). Expect: GP ~ GP1 flat; "
       "NORM rising and spiky",
-      table_for("ckpt"), csv, camp.unfinished_runs);
+      table_for("ckpt"), csv, &camp);
   bench::emit(
       "Figure 6b - summed restart time (HPL). Expect: NORM lowest, GP "
       "slightly above, GP1 highest/variable",
-      table_for("restart"), csv, camp.unfinished_runs);
+      table_for("restart"), csv, &camp);
   return 0;
 }

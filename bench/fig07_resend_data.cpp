@@ -40,6 +40,6 @@ int main(int argc, char** argv) {
   bench::emit(
       "Figure 7 - data resent on restart (HPL). Expect: GP lowest/stable, "
       "GP1 largest/variable (NORM = 0 by construction)",
-      t, csv, camp.unfinished_runs);
+      t, csv, &camp);
   return 0;
 }

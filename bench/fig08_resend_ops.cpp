@@ -42,6 +42,6 @@ int main(int argc, char** argv) {
   bench::emit(
       "Figure 8 - resend operations on restart (HPL). Expect: GP1 most and "
       "most variable",
-      t, csv, camp.unfinished_runs);
+      t, csv, &camp);
   return 0;
 }

@@ -53,6 +53,6 @@ int main(int argc, char** argv) {
   bench::emit(
       "Figure 9 - checkpoint time breakdown. Expect: image phase equal "
       "across modes and smaller at 128; NORM coordination dominates at 128",
-      t, csv, camp.unfinished_runs);
+      t, csv, &camp);
   return 0;
 }

@@ -72,6 +72,6 @@ int main(int argc, char** argv) {
       "Figure 10 - multiple checkpoints (HPL N=56000, 128 procs). Expect: "
       "GP slower with 0 checkpoints (logging), overtakes NORM as "
       "checkpoints multiply",
-      t, csv, camp.unfinished_runs);
+      t, csv, &camp);
   return 0;
 }

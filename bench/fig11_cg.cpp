@@ -59,9 +59,9 @@ int main(int argc, char** argv) {
   };
   bench::emit("Figure 11a - CG Class C summed checkpoint time. Expect: GP ~ "
               "GP1 << NORM at scale",
-              table_for("ckpt"), csv, camp.unfinished_runs);
+              table_for("ckpt"), csv, &camp);
   bench::emit("Figure 11b - CG Class C summed restart time. Expect: GP ~ "
               "NORM, GP1 above",
-              table_for("restart"), csv, camp.unfinished_runs);
+              table_for("restart"), csv, &camp);
   return 0;
 }

@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
     return t;
   };
   bench::emit("Figure 12a - SP Class C summed checkpoint time",
-              table_for("ckpt"), csv, camp.unfinished_runs);
+              table_for("ckpt"), csv, &camp);
   bench::emit("Figure 12b - SP Class C summed restart time",
-              table_for("restart"), csv, camp.unfinished_runs);
+              table_for("restart"), csv, &camp);
   return 0;
 }

@@ -22,13 +22,11 @@ exp::ExperimentConfig make_config(const exp::AppFactory& app, int n,
                                   bool use_vcl,
                                   const std::optional<group::GroupSet>& groups,
                                   double first_at, double interval,
-                                  int max_rounds, std::uint64_t seed,
-                                  int shards) {
+                                  int max_rounds, std::uint64_t seed) {
   exp::ExperimentConfig cfg;
   cfg.app = app;
   cfg.nranks = n;
   cfg.seed = seed;
-  cfg.shards = shards;
   cfg.remote_storage = true;  // 4 shared checkpoint servers
   cfg.checkpoints = true;
   cfg.schedule.first_at_s = first_at;
@@ -53,7 +51,6 @@ int main(int argc, char** argv) {
   const int reps = cli.get_reps(3);
   const bool csv = cli.get_bool("csv", false, "emit CSV");
   const int jobs = cli.get_jobs();
-  const int shards = cli.get_shards();
   cli.finish();
 
   exp::AppFactory app = [](int nr) { return apps::make_cg(nr); };
@@ -63,34 +60,35 @@ int main(int argc, char** argv) {
   sc.name = "cg/scale-vcl";
   sc.axes = {exp::SweepAxis::ints("procs", procs)};
   sc.reps = reps;
-  sc.job = [app, cache, vcl_interval, shards](const exp::SweepPoint& point,
-                                              exp::Collector& col) {
+  sc.job = [app, cache, vcl_interval](const exp::SweepPoint& point,
+                                      exp::Collector& col) {
     const int n = static_cast<int>(point.get_int("procs"));
     const group::GroupSet& gp_groups = cache->get(Mode::kGp, n);
     const exp::ExperimentResult vcl =
         col.run(make_config(app, n, /*use_vcl=*/true, std::nullopt,
-                            vcl_interval, vcl_interval, 0, point.seed, shards));
+                            vcl_interval, vcl_interval, 0, point.seed));
     // A watchdog-tripped run reports an abort horizon, not an execution
-    // time, and poisons the fairness chain derived from it — drop the
-    // whole (n, seed) job (no samples at all, so the GP and VCL columns
-    // always average over the same seeds), matching the runner's
-    // config-path behavior.
-    if (!vcl.finished) return;
+    // time, and a vacuous one (rounds issued, none completed) has no
+    // checkpoint count to match; either poisons the fairness chain derived
+    // from it — drop the whole (n, seed) job (no samples at all, so the GP
+    // and VCL columns always average over the same seeds), matching the
+    // runner's config-path behavior.
+    if (!vcl.finished || vcl.vacuous()) return;
     // Force GP to the same checkpoint count by adapting the interval to
     // ITS expected execution time and capping the rounds (the paper's
     // fairness rule: "GP is then forced to take the same number of
     // checkpoints by using a different checkpoint interval").
     const int target = std::max(1, vcl.checkpoints_completed);
     const exp::ExperimentResult gp_probe =
-        col.run(make_config(app, n, false, gp_groups, 1e9, 0, 0, point.seed,
-                            shards));  // no ckpts
+        col.run(make_config(app, n, false, gp_groups, 1e9, 0, 0,
+                            point.seed));  // no ckpts
     if (!gp_probe.finished) return;
     const double gp_interval =
         gp_probe.exec_time_s / static_cast<double>(target + 1);
     const exp::ExperimentResult gp =
         col.run(make_config(app, n, false, gp_groups, gp_interval,
-                            gp_interval, target, point.seed, shards));
-    if (!gp.finished) return;
+                            gp_interval, target, point.seed));
+    if (!gp.finished || gp.vacuous()) return;
     col.add("vcl_exec", vcl.exec_time_s);
     col.add("vcl_ckpts", vcl.checkpoints_completed);
     col.add("gp_exec", gp.exec_time_s);
@@ -109,6 +107,6 @@ int main(int argc, char** argv) {
   bench::emit(
       "Figure 13 - GP vs MPICH-VCL at scale (CG Class C, remote storage, "
       "equal checkpoint counts). Expect: GP's edge grows with scale",
-      t, csv, camp.unfinished_runs);
+      t, csv, &camp);
   return 0;
 }

@@ -59,6 +59,6 @@ int main(int argc, char** argv) {
   bench::emit(
       "Figure 14 - average time per checkpoint on remote storage (CG Class "
       "C). Expect: GP < VCL throughout, VCL rising steeply",
-      t, csv, camp.unfinished_runs);
+      t, csv, &camp);
   return 0;
 }

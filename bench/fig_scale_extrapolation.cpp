@@ -87,7 +87,6 @@ int main(int argc, char** argv) {
   const int reps = cli.get_reps(3);
   const bool csv = cli.get_bool("csv", false, "emit CSV");
   const int jobs = cli.get_jobs();
-  const int shards = cli.get_shards();
   cli.finish();
 
   std::vector<sim::TopologyKind> topos;
@@ -118,18 +117,16 @@ int main(int argc, char** argv) {
     // Adaptive (least-loaded) fat-tree uplinks: the bookmark storm is the
     // exact hotspot adaptive routing exists for. Dragonfly stays minimal.
     config.topology.fattree_routing = sim::FatTreeRouting::kAdaptive;
-    // Group-resident shards: routed fabrics pass the residency gate, so
-    // every topology in the sweep parallelizes (byte-identically) when
-    // --shards > 1.
-    config.shards = shards;
     config.checkpoints = true;
     config.schedule.first_at_s = 0.1;  // inside the ~0.4 s stencil run
     config.schedule.max_rounds = 1;
     // NORM's commit fan-out is O(n) control messages serialized at the
     // leader's NIC; past ~2k ranks it crosses more safe points than the
-    // default margin of 2, so widen the target window with scale (while
-    // keeping the target inside the stencil's 40 iterations).
-    config.protocol_options.commit_margin = std::max(2, n / 256);
+    // default margin of 2, so widen the target window with scale. The cap
+    // keeps the target inside the stencil's 40 iterations: the round starts
+    // around iteration 12, so an uncapped n/256 (32 at 8192 ranks) would
+    // aim past the end and the round would never commit.
+    config.protocol_options.commit_margin = std::clamp(n / 256, 2, 16);
     return config;
   };
   sc.collect = [](const exp::SweepPoint&, const exp::ExperimentResult& res,
@@ -168,7 +165,7 @@ int main(int argc, char** argv) {
                     std::string(sim::topology_kind_name(topos[ti])) +
                     " fabric. Expect: NORM coordination grows with procs, "
                     "GP stays flat",
-                t, csv, camp.unfinished_runs);
+                t, csv, &camp);
   }
   return 0;
 }

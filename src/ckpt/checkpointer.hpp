@@ -65,7 +65,8 @@ class Checkpointer {
   /// failure mid-write strands no device slot or tier capacity.
   sim::Co<void> stage_image(int node, mpi::RankId rank, std::uint64_t epoch,
                             std::int64_t bytes) {
-    co_await sim::delay(io_engine(node), sim::from_seconds(options_.setup_s));
+    co_await sim::delay(cluster_->engine(),
+                        sim::from_seconds(options_.setup_s));
     if (tiers_) {
       co_await tiers_->stage_image(node, rank, epoch, bytes);
     } else {
@@ -106,7 +107,8 @@ class Checkpointer {
   /// reading from the fastest tier holding the committed image (direct
   /// mode: the node's device). Blocks until the data is in memory.
   sim::Co<void> read_image(int node, mpi::RankId rank, std::int64_t bytes) {
-    co_await sim::delay(io_engine(node), sim::from_seconds(options_.setup_s));
+    co_await sim::delay(cluster_->engine(),
+                        sim::from_seconds(options_.setup_s));
     if (tiers_) {
       co_await tiers_->read_image(node, rank, bytes);
     } else {
@@ -119,7 +121,8 @@ class Checkpointer {
   sim::Co<void> write_image(int node, std::int64_t bytes) {
     GCR_CHECK_MSG(!tiers_, "tiered modes stage images per rank; use "
                            "stage_image/commit_image");
-    co_await sim::delay(io_engine(node), sim::from_seconds(options_.setup_s));
+    co_await sim::delay(cluster_->engine(),
+                        sim::from_seconds(options_.setup_s));
     co_await device_for(node).write(bytes);
   }
 
@@ -139,17 +142,6 @@ class Checkpointer {
   sim::StorageDevice& device_for(int node) {
     return options_.remote_storage ? cluster_->remote_server_for(node)
                                    : cluster_->local_disk(node);
-  }
-
-  /// The engine a node's image IO begins on: its direct device's engine
-  /// (the node's shard when local disks are shard-bound, the home shard
-  /// for shared NFS), or the node's staging buffer's engine for the tier
-  /// hierarchy (the node's shard when a resident plan rebound buffers —
-  /// the BLCR quiesce runs on the node, not at the arbiter). Identical to
-  /// cluster().engine() outside shard-resident runs.
-  sim::Engine& io_engine(int node) {
-    return tiers_ ? cluster_->node_buffer(node).engine()
-                  : device_for(node).engine();
   }
 
   /// Tier counters, or nullptr in direct mode.

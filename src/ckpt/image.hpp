@@ -9,7 +9,6 @@
 #pragma once
 
 #include <any>
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -45,12 +44,8 @@ struct StoredCheckpoint {
 /// successful checkpoint "comes with a correct set of message logs" and
 /// supersedes the previous); we keep the latest per rank.
 ///
-/// Storage is a flat per-rank slot array so that, in shard-resident runs,
-/// every access for rank r (stage/commit by r's group — one shard, since
-/// groups are placed whole — and restore reads posted to r's shard) touches
-/// only r's slots: distinct ranks' operations from different shard threads
-/// never share memory. Slots grow lazily only in single-threaded use;
-/// `reserve_ranks` pre-sizes them before a parallel run.
+/// Storage is a flat per-rank slot array; slots grow lazily, and
+/// `reserve_ranks` pre-sizes them.
 ///
 /// Image visibility is two-phase so a failure mid-checkpoint never exposes
 /// a torn or mixed-epoch group cut: each member stages its image at the
@@ -62,8 +57,7 @@ struct StoredCheckpoint {
 /// member or the previous epoch for every member — never a mixture.
 class ImageRegistry {
  public:
-  /// Pre-sizes the slot arrays for ranks [0, n). Must be called before a
-  /// shard-resident run so no slot access ever reallocates.
+  /// Pre-sizes the slot arrays for ranks [0, n).
   void reserve_ranks(int n) {
     const auto s = static_cast<std::size_t>(n);
     if (images_.size() < s) images_.resize(s);
@@ -147,16 +141,11 @@ class ImageRegistry {
     }
   }
 
-  std::uint64_t next_cut() {
-    // Relaxed is enough: in resident runs distinct groups may commit from
-    // different shard threads concurrently, but cut_seq is only ever
-    // COMPARED between images of one group, which are stamped by one call.
-    return cuts_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
+  std::uint64_t next_cut() { return ++cuts_; }
 
   std::vector<std::optional<StoredCheckpoint>> images_;
   std::vector<std::optional<StoredCheckpoint>> staged_;
-  std::atomic<std::uint64_t> cuts_{0};
+  std::uint64_t cuts_ = 0;
 };
 
 }  // namespace gcr::ckpt

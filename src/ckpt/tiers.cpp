@@ -20,8 +20,7 @@ const char* storage_mode_name(StorageMode mode) {
 
 TierStore::TierStore(sim::Cluster& cluster, const TierStoreOptions& options)
     : cluster_(&cluster), options_(options), space_freed_(cluster.engine()),
-      node_seq_(static_cast<std::size_t>(cluster.num_nodes()), 0),
-      replies_(static_cast<std::size_t>(cluster.shards().num_shards())) {
+      node_seq_(static_cast<std::size_t>(cluster.num_nodes()), 0) {
   GCR_CHECK_MSG(cluster.has_tiered_storage(),
                 "TierStore requires cluster burst buffers (num_burst_buffers)");
   GCR_CHECK_MSG(options_.mode != StorageMode::kDirect,
@@ -34,24 +33,21 @@ TierStore::TierStore(sim::Cluster& cluster, const TierStoreOptions& options)
 // Same-tick arrivals at the home arbiter are batched and executed in
 // (subject node, per-node seq) order. Every op lands as its own posted
 // event, so by the time the first one executes, all of the tick's ops are
-// already queued; the flush is scheduled via call_at(now) — inserted after
-// them — and therefore sees the complete batch. The sort key is assigned
-// on the subject's shard in its deterministic execution order, so the
-// admission order is a pure function of model state, not of --shards.
+// already queued; the flush is posted at now — inserted after them — and
+// therefore sees the complete batch. The sort key is assigned in the
+// callers' execution order, so the admission order is a pure function of
+// model state.
 
 void TierStore::post_op(TierOp op) {
-  sim::ShardedEngine& sh = cluster_->shards();
-  const int from = cluster_->node_shard(op.node);
-  const sim::Time at = sh.shard(from).now() + rpc_latency();
-  sh.post_at(from, /*to=*/0, at,
-             sim::SmallFn([this, op]() mutable { enqueue_op(op); }));
+  engine().call_at(engine().now() + cluster_->control_latency(),
+                   sim::SmallFn([this, op]() mutable { enqueue_op(op); }));
 }
 
 void TierStore::enqueue_op(TierOp op) {
   pending_ops_.push_back(op);
   if (!flush_scheduled_) {
     flush_scheduled_ = true;
-    home().post(sim::SmallFn([this] { flush_ops(); }));
+    engine().post(sim::SmallFn([this] { flush_ops(); }));
   }
 }
 
@@ -67,37 +63,32 @@ void TierStore::flush_ops() {
 }
 
 void TierStore::post_reply(int node, std::uint64_t seq, int result) {
-  sim::ShardedEngine& sh = cluster_->shards();
-  const int to = cluster_->node_shard(node);
-  sh.post_at(/*from=*/0, to, home().now() + rpc_latency(),
-             sim::SmallFn([this, to, node, seq, result] {
-               auto& waiters = replies_[static_cast<std::size_t>(to)];
-               auto it = waiters.find(ReplyKey{node, seq});
-               if (it == waiters.end()) return;  // caller killed mid-wait
-               *it->second.result = result;
-               it->second.trigger->fire();
-             }));
+  engine().call_at(engine().now() + cluster_->control_latency(),
+                   sim::SmallFn([this, node, seq, result] {
+                     auto it = replies_.find(ReplyKey{node, seq});
+                     if (it == replies_.end()) return;  // killed mid-wait
+                     *it->second.result = result;
+                     it->second.trigger->fire();
+                   }));
 }
 
 sim::Co<void> TierStore::await_reply(int node, std::uint64_t seq,
                                      int* result) {
-  auto& waiters = replies_[static_cast<std::size_t>(
-      cluster_->node_shard(node))];
-  sim::Trigger reply(node_engine(node));
+  sim::Trigger reply(engine());
   const ReplyKey key{node, seq};
-  waiters[key] = ReplyWaiter{&reply, result};
+  replies_[key] = ReplyWaiter{&reply, result};
   // RAII unregistration: a kill mid-wait must not leave a trigger pointer
   // into a dead stack frame (mirrors Runtime::await_egress).
   struct Guard {
     std::map<ReplyKey, ReplyWaiter>* waiters;
     ReplyKey key;
     ~Guard() { waiters->erase(key); }
-  } guard{&waiters, key};
+  } guard{&replies_, key};
   co_await reply.wait();
 }
 
 void TierStore::kill_pipeline(sim::ProcPtr& proc) {
-  if (proc && proc->alive()) home().kill(*proc);
+  if (proc && proc->alive()) engine().kill(*proc);
   proc.reset();
 }
 
@@ -162,7 +153,7 @@ sim::Co<void> TierStore::stage_image(int node, mpi::RankId rank,
   // Memory-speed copy out of the application's address space into the
   // node's staging buffer (the process resumes only after the full image
   // left its memory — same blocking contract as a direct device write).
-  // Runs on the node's own shard; only then does the request cross home.
+  // Only then does the request cross to the arbiter.
   co_await cluster_->node_buffer(node).write(bytes);
   const std::uint64_t seq = node_seq_[static_cast<std::size_t>(node)]++;
   post_op(TierOp{TierOp::Kind::kStage, node, rank, seq, epoch, bytes});
@@ -299,7 +290,7 @@ sim::Co<void> TierStore::read_image(int node, mpi::RankId rank,
   co_await await_reply(node, seq, &result);
   if (result == kReplyReadLocal) {
     // Warm restart: the committed image never left the node's staging
-    // buffer, so the read runs at memory speed on the node's own shard.
+    // buffer, so the read runs at memory speed.
     co_await cluster_->node_buffer(node).read(bytes);
   }
 }
@@ -346,7 +337,7 @@ void TierStore::run_op(TierOp& op) {
       // restart is staging again before the failure notice landed; the
       // replacement supersedes it.
       kill_pipeline(ri.stage_pipeline);
-      ri.stage_pipeline = home().spawn(
+      ri.stage_pipeline = engine().spawn(
           "stage" + std::to_string(op.rank),
           stage_body(op.rank, op.node, op.epoch, op.bytes, op.seq));
       break;
@@ -370,21 +361,21 @@ void TierStore::run_op(TierOp& op) {
         post_reply(op.node, op.seq, kReplyReadLocal);
       } else if (img.in_bb) {
         ++stats_.reads_bb;
-        it->second.read_pipeline = home().spawn(
+        it->second.read_pipeline = engine().spawn(
             "tread" + std::to_string(op.rank),
             read_body(op.rank, op.node, op.bytes, op.seq, /*from_bb=*/true));
       } else {
         GCR_CHECK_MSG(img.in_pfs, "committed image resident in no tier");
         ++stats_.reads_pfs;
-        it->second.read_pipeline = home().spawn(
+        it->second.read_pipeline = engine().spawn(
             "tread" + std::to_string(op.rank),
             read_body(op.rank, op.node, op.bytes, op.seq, /*from_bb=*/false));
       }
       break;
     }
     case TierOp::Kind::kFlushLog:
-      home().spawn("tflush" + std::to_string(op.node),
-                   flush_body(op.node, op.bytes, op.seq));
+      engine().spawn("tflush" + std::to_string(op.node),
+                     flush_body(op.node, op.bytes, op.seq));
       break;
   }
 }

@@ -36,24 +36,17 @@
 // unwind); reserved-but-unstaged capacity is returned by an RAII guard, so
 // burst-buffer bytes are never stranded by a failure mid-checkpoint.
 //
-// Shard residency (DESIGN.md §15.3): tier POLICY state (residency maps,
-// capacity accounting, drains) lives on the home shard; the per-node
-// staging buffers live on their nodes' shards (Cluster::
-// rebind_node_buffers). A caller runs its node-buffer leg on its own
-// shard, then crosses to the home arbiter through a fixed-latency control
-// edge: every request is stamped (subject node, per-node seq) on the
-// owning shard, lands home one lookahead later, and same-tick arrivals
-// are batched and executed in (node, seq) order — a canonical admission
-// order that no shard count can perturb (same construction as
-// sim::Network's routed injection edge). Replies cross back at +L and
-// fire a caller-shard trigger. The veneer is always on — a single-shard
-// run takes the identical ±L event structure — so tier-mode outputs are
-// byte-identical across --shards. Commit/discard/failure notices are
-// fire-and-forget ops through the same queue; a whole group's commits are
-// posted at one caller instant and land at one home instant, keeping the
-// leader's atomic-commit contract. Callers must invoke every method from
-// the subject node's shard (rank coroutines, same-shard group leaders,
-// and the recovery kill path dispatched to the group's shard all do).
+// Control edge (DESIGN.md §15.2): the tier POLICY state (residency maps,
+// capacity accounting, drains) is one shared home-side arbiter. A caller
+// runs its node-buffer leg itself, then reaches the arbiter through a
+// fixed-latency control edge: every request is stamped (subject node,
+// per-node seq), lands Cluster::control_latency() later, and same-tick
+// arrivals are batched and executed in (node, seq) order — the same
+// canonical admission order as sim::Network's routed injection edge.
+// Replies cross back after another L and fire the caller's trigger.
+// Commit/discard/failure notices are fire-and-forget ops through the same
+// queue; a whole group's commits are posted at one caller instant and
+// land at one home instant, keeping the leader's atomic-commit contract.
 #pragma once
 
 #include <cstdint>
@@ -133,8 +126,7 @@ class TierStore {
   /// the shared tiers), and any home-side pipeline still acting for the
   /// dead process is killed. NOT invoked for voluntary restarts — a
   /// relaunch on a healthy node reloads from the warm staging buffer.
-  /// Fire-and-forget; must be called from the rank's shard (the recovery
-  /// kill path is dispatched there).
+  /// Fire-and-forget.
   void on_node_failed(mpi::RankId rank);
 
   /// Restart read: `bytes` from the fastest tier holding the rank's
@@ -161,9 +153,8 @@ class TierStore {
     std::optional<Image> staged;
     std::optional<Image> committed;
     std::uint64_t commit_seq = 0;  ///< for oldest-first eviction
-    /// Home-side pipelines acting for the rank. Unlike the pre-resident
-    /// code, these do NOT die with the rank's coroutines (they live on the
-    /// home engine); the failure notice kills them instead.
+    /// Home-side pipelines acting for the rank. These do NOT die with the
+    /// rank's coroutines; the failure notice kills them instead.
     sim::ProcPtr stage_pipeline;
     sim::ProcPtr read_pipeline;
   };
@@ -190,28 +181,22 @@ class TierStore {
   static constexpr int kReplyDone = 0;
   static constexpr int kReplyReadLocal = 1;  ///< read the node buffer locally
 
-  /// Caller-shard trigger registry, partitioned by shard so registration,
-  /// firing, and RAII unregistration all stay on the waiter's own shard.
+  /// A caller parked on a reply; unregistered by RAII on unwind.
   struct ReplyWaiter {
     sim::Trigger* trigger;
     int* result;
   };
   using ReplyKey = std::pair<std::int32_t, std::uint64_t>;  ///< (node, seq)
 
-  sim::Engine& home() { return cluster_->engine(); }
-  sim::Time rpc_latency() const { return cluster_->shards().lookahead(); }
-  sim::Engine& node_engine(int node) {
-    return cluster_->shards().shard(cluster_->node_shard(node));
-  }
-  /// Stamps (node, seq) on the subject's shard and posts the op home at
-  /// +lookahead. Must run on the subject node's shard.
+  sim::Engine& engine() { return cluster_->engine(); }
+  /// Stamps (node, seq) and schedules the op home at +L.
   void post_op(TierOp op);
   void enqueue_op(TierOp op);  ///< home side: batch + schedule the flush
   void flush_ops();            ///< home side: canonical (node, seq) order
   void run_op(TierOp& op);
-  /// Posts the reply to the subject node's shard at +lookahead (home side).
+  /// Schedules the reply to the caller at +L (home side).
   void post_reply(int node, std::uint64_t seq, int result);
-  /// Parks the caller until the (node, seq) reply lands on its shard.
+  /// Parks the caller until the (node, seq) reply lands.
   /// Kill-safe: the registration is erased on unwind and a reply for an
   /// unregistered key is dropped.
   sim::Co<void> await_reply(int node, std::uint64_t seq, int* result);
@@ -245,13 +230,12 @@ class TierStore {
   std::uint64_t next_commit_seq_ = 1;
   sim::Trigger space_freed_;
 
-  /// Per-subject-node request counters, each owned by the node's shard.
+  /// Per-subject-node request counters.
   std::vector<std::uint64_t> node_seq_;
-  /// Same-tick arrivals awaiting the canonical flush (home shard only).
+  /// Same-tick arrivals awaiting the canonical flush.
   std::vector<TierOp> pending_ops_;
   bool flush_scheduled_ = false;
-  /// Reply waiters, one map per shard (each touched only by its shard).
-  std::vector<std::map<ReplyKey, ReplyWaiter>> replies_;
+  std::map<ReplyKey, ReplyWaiter> replies_;
 };
 
 }  // namespace gcr::ckpt

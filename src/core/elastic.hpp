@@ -25,8 +25,7 @@ namespace gcr::core {
 /// Passive tap counting app-plane messages per ordered (src, dst) pair.
 /// Suppressed re-sends during replay are counted too: affinity measures who
 /// talks to whom, not what reached the wire. Attach via
-/// Runtime::add_observer; reads are only meaningful on the home shard
-/// between events (the recovery state machine's context).
+/// Runtime::add_observer.
 class TrafficMatrix : public mpi::Observer {
  public:
   explicit TrafficMatrix(int nranks);

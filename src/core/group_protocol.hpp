@@ -155,12 +155,6 @@ class GroupProtocol : public mpi::Interposer {
   void add_transitional_logging(const std::vector<mpi::RankId>& a,
                                 const std::vector<mpi::RankId>& b);
 
-  /// Shard-resident runs spool metrics per rank (the shared Metrics object
-  /// cannot be mutated from several shard threads); this merges the spools
-  /// in rank order once the run has quiesced. No-op otherwise — unsharded
-  /// runs write the shared object directly, preserving record order exactly.
-  void finalize_metrics();
-
  private:
   struct RankState {
     // --- Algorithm 1 data ---
@@ -221,17 +215,11 @@ class GroupProtocol : public mpi::Interposer {
     std::vector<sim::ProcPtr> serve_procs;
 
     gcr::Rng jitter_rng{0};
-
-    /// Resident-mode metrics spool (merged by finalize_metrics).
-    Metrics spool;
   };
 
   RankState& state(const mpi::Rank& rank) {
     return *states_[static_cast<std::size_t>(rank.id())];
   }
-  /// Where a rank's metrics go: its own spool in resident mode (shard-local
-  /// memory), the shared object otherwise.
-  Metrics& met(RankState& st) { return rt_->resident() ? st.spool : *metrics_; }
   mpi::RankId leader_of(int group) const {
     return groups_.members(group).front();
   }
@@ -258,12 +246,12 @@ class GroupProtocol : public mpi::Interposer {
   void note_bookmark_progress(RankState& st, const mpi::Rank& rank,
                               mpi::RankId m);
   std::uint64_t draw_target_skew(RankState& st, bool coordinated);
-  /// Re-issues the volume-exchange request of every rank (optionally only
-  /// those on `shard_filter`) that had deferred its exchange with `back`.
-  void reissue_deferred_exchanges(int shard_filter, mpi::RankId back);
+  /// Re-issues the volume-exchange request of every rank that had deferred
+  /// its exchange with `back`.
+  void reissue_deferred_exchanges(mpi::RankId back);
   /// Moves `dead` from exchange_pending to exchange_deferred for every rank
-  /// (optionally only those on `shard_filter`) and wakes the waiters.
-  void reroute_pending_exchanges(int shard_filter, mpi::RankId dead);
+  /// and wakes the waiters.
+  void reroute_pending_exchanges(mpi::RankId dead);
 
   static std::uint64_t barrier_key(std::uint64_t epoch, int phase) {
     return epoch * 8 + static_cast<std::uint64_t>(phase);

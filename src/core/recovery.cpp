@@ -33,36 +33,26 @@ RecoveryManager::RecoveryManager(mpi::Runtime& rt, GroupProtocol& protocol,
       static_cast<std::size_t>(protocol.groups().num_groups());
   gstate_.assign(ngroups, GroupState::kAlive);
   down_since_.assign(static_cast<std::size_t>(rt.nranks()), sim::Time{-1});
-  // The protocol fires this from the restoring group's shard; the recovery
-  // state machine lives on the home shard, so the completion goes home
-  // through the cross-shard edge. The edge is ALWAYS ON — a single-shard
-  // run forwards the post to a same-engine call_at(+L) — so the recovery
-  // timeline is identical at every shard count (same construction as the
-  // tier store's control edge). The group INDEX is only valid at the firing
-  // instant; it is pinned to the representative rank before the hop.
+  // The restore completion reaches the recovery state machine over a
+  // control-plane edge one L long (DESIGN.md §15.2; the same construction
+  // as the tier store's control edge). The group INDEX is only valid at
+  // the firing instant; it is pinned to the representative rank before
+  // the hop.
   protocol_->set_restore_done_callback([this](int group) {
     const mpi::RankId rep = protocol_->groups().members(group).front();
-    sim::ShardedEngine& sh = rt_->cluster().shards();
-    const int sg = shard_of_group(group);
-    sh.post_at(sg, 0, sh.shard(sg).now() + sh.lookahead(),
-               [this, rep] { on_restore_done(rep); });
+    after_control_latency([this, rep] { on_restore_done(rep); });
   });
 }
 
-int RecoveryManager::shard_of_group(int group) const {
-  return rt_->shard_of(protocol_->groups().members(group).front());
+void RecoveryManager::after_control_latency(sim::SmallFn fn) {
+  sim::Engine& eng = rt_->engine();
+  eng.call_at(eng.now() + rt_->cluster().control_latency(), std::move(fn));
 }
 
 void RecoveryManager::dispatch_kill(mpi::RankId rep) {
-  // Always-on ±L edge (see the constructor comment): the kill lands on the
-  // group's shard one lookahead after the home-side decision at every
-  // shard count, single-shard runs included.
-  sim::ShardedEngine& sh = rt_->cluster().shards();
-  const int group = protocol_->groups().group_of(rep);
-  sh.post_at(0, shard_of_group(group), sh.home().now() + sh.lookahead(),
-             [this, rep] {
-               kill_members(protocol_->groups().group_of(rep));
-             });
+  // The kill order reaches the group's members one L after the decision.
+  after_control_latency(
+      [this, rep] { kill_members(protocol_->groups().group_of(rep)); });
 }
 
 void RecoveryManager::fail_group_at(int group, sim::Time t) {
@@ -94,8 +84,7 @@ void RecoveryManager::fail_node_now(int node) {
 void RecoveryManager::kill_members(int group) {
   const auto& members = protocol_->groups().members(group);
   GCR_INFO("injecting failure of group %d (%zu ranks) at t=%.3fs", group,
-           members.size(),
-           sim::to_seconds(rt_->engine_of(members.front()).now()));
+           members.size(), sim::to_seconds(rt_->engine().now()));
   for (mpi::RankId r : members) {
     rt_->kill_rank(rt_->rank(r));
     // A FAULT takes the node's staging buffer with it; the member's next
@@ -143,27 +132,21 @@ void RecoveryManager::fail_group_now(int group) {
       // affect the job (a run is complete once every rank ran to the end);
       // there is nothing to kill or recover. A partially finished group is
       // still killed whole — its finished members roll back and re-execute
-      // with the rest of the group. The alive/finished checks read member
-      // state owned by the group's shard, so the whole decision runs there
-      // and the bookkeeping posts back home — over the always-on ±L edges,
-      // so the kill (decision + L) and the recovery bookkeeping (decision
-      // + 2L) land at the same instants at every shard count. gstate_
-      // stays kAlive for the ~2L round trip; a second fault in that window
-      // finds the members already dead on the shard and is absorbed there.
-      // The kill itself is immediate even if the group is mid-checkpoint —
-      // the round dies with the processes and the group's staged images
-      // are discarded (rank_killed), so restore sees the previous epoch.
+      // with the rest of the group. The alive/finished checks and the kill
+      // run at the members one L after the decision, and the recovery
+      // bookkeeping comes back after another L (control-plane edges,
+      // DESIGN.md §15.2). gstate_ stays kAlive for the 2L round trip; a
+      // second fault in that window finds the members already dead and is
+      // absorbed. The kill itself is immediate even if the group is
+      // mid-checkpoint — the round dies with the processes and the group's
+      // staged images are discarded (rank_killed), so restore sees the
+      // previous epoch.
       const mpi::RankId rep = protocol_->groups().members(group).front();
-      sim::ShardedEngine& sh = rt_->cluster().shards();
-      const int sg = shard_of_group(group);
-      sh.post_at(0, sg, sh.home().now() + sh.lookahead(), [this, rep] {
+      after_control_latency([this, rep] {
         const int group = protocol_->groups().group_of(rep);
         const auto& members = protocol_->groups().members(group);
-        sim::ShardedEngine& sh = rt_->cluster().shards();
-        const int sg = shard_of_group(group);
-        const sim::Time back = sh.shard(sg).now() + sh.lookahead();
         if (!rt_->rank(rep).alive()) {
-          sh.post_at(sg, 0, back, [this] { ++absorbed_; });
+          after_control_latency([this] { ++absorbed_; });
           return;
         }
         bool all_finished = true;
@@ -175,7 +158,7 @@ void RecoveryManager::fail_group_now(int group) {
         }
         if (all_finished) return;
         kill_members(group);
-        sh.post_at(sg, 0, back, [this, rep] {
+        after_control_latency([this, rep] {
           const int group = protocol_->groups().group_of(rep);
           ++failures_;
           gstate_[static_cast<std::size_t>(group)] = GroupState::kDown;
@@ -215,16 +198,12 @@ void RecoveryManager::start_restore(mpi::RankId rep) {
   const int group = protocol_->groups().group_of(rep);
   gstate_[static_cast<std::size_t>(group)] = GroupState::kRestoring;
   ++restores_in_flight_;
-  // The restore touches rank/protocol/registry state owned by the group's
-  // shard; the always-on ±L edge carries it there. Posted after any
-  // in-flight kill for this group (home posts both in order; the mailbox
-  // preserves send order at equal timestamps).
-  sim::ShardedEngine& sh = rt_->cluster().shards();
-  sh.post_at(0, shard_of_group(group), sh.home().now() + sh.lookahead(),
-             [this, rep] {
-               restore_ranks(protocol_->groups().members(
-                   protocol_->groups().group_of(rep)));
-             });
+  // The restore order reaches the members one L later, sequenced after
+  // any in-flight kill for this group (same delay, scheduled earlier).
+  after_control_latency([this, rep] {
+    restore_ranks(
+        protocol_->groups().members(protocol_->groups().group_of(rep)));
+  });
 }
 
 void RecoveryManager::on_restore_done(mpi::RankId rep) {
@@ -309,9 +288,6 @@ void RecoveryManager::schedule_next_model_event() {
 }
 
 void RecoveryManager::restart_all_at(sim::Time t) {
-  GCR_CHECK_MSG(!rt_->resident(),
-                "whole-application restarts cross every shard; the residency "
-                "gate keeps such configs on the unsharded path");
   rt_->engine().call_at(t, [this] {
     std::vector<mpi::RankId> all;
     for (int r = 0; r < rt_->nranks(); ++r) {
@@ -384,10 +360,6 @@ void RecoveryManager::arm_churn_model(std::unique_ptr<sim::ChurnModel> model,
                                       ChurnOptions options) {
   GCR_CHECK(model != nullptr);
   GCR_CHECK_MSG(churn_model_ == nullptr, "a churn model is already armed");
-  GCR_CHECK_MSG(!rt_->resident(),
-                "churn regroups and departures move ranks across group (and "
-                "so shard) boundaries; the residency gate keeps churn "
-                "configs on the unsharded path");
   GCR_CHECK(options.poll_s > 0 && options.retry_s > 0);
   churn_model_ = std::move(model);
   planner_ = planner;

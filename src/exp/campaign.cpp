@@ -20,8 +20,11 @@ void run_job(const Scenario& scenario, const SweepPoint& point,
   }
   const ExperimentResult result = out.run(scenario.config(point));
   // A watchdog-tripped run's exec_time_s is the abort horizon, not an
-  // execution time; collecting it would silently poison the averages.
-  if (result.finished) scenario.collect(point, result, out);
+  // execution time, and a vacuous run's checkpoint figures measure nothing;
+  // collecting either would silently poison the averages.
+  if (result.finished && !result.vacuous()) {
+    scenario.collect(point, result, out);
+  }
 }
 
 }  // namespace
@@ -90,6 +93,8 @@ CampaignResult run_campaign(const Scenario& scenario,
     cell.runs += col.runs;
     cell.unfinished_runs += col.unfinished;
     result.unfinished_runs += col.unfinished;
+    cell.vacuous_runs += col.vacuous;
+    result.vacuous_runs += col.vacuous;
   }
   return result;
 }

@@ -32,12 +32,14 @@ struct CellAggregate {
   std::vector<std::string> texts;  ///< job order, then add order within a job
   int runs = 0;
   int unfinished_runs = 0;  ///< watchdog-tripped runs (excluded from metrics)
+  int vacuous_runs = 0;     ///< ExperimentResult::vacuous runs (likewise)
 };
 
 struct CampaignResult {
   std::vector<CellAggregate> cells;  ///< indexed by SweepPoint::cell
   std::size_t jobs_run = 0;
   int unfinished_runs = 0;  ///< total across cells
+  int vacuous_runs = 0;     ///< total across cells
 
   /// Stats of a metric in a cell; an empty accumulator if never collected.
   const RunningStats& stat(std::size_t cell, const std::string& metric) const;

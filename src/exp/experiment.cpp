@@ -1,8 +1,6 @@
 #include "exp/experiment.hpp"
 
-#include <algorithm>
 #include <memory>
-#include <string>
 #include <utility>
 
 #include "group/formation.hpp"
@@ -10,20 +8,17 @@
 #include "mpi/runtime.hpp"
 #include "trace/tracer.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace gcr::exp {
 namespace {
 
-sim::ClusterParams make_cluster_params(const ExperimentConfig& config,
-                                       int effective_shards) {
+sim::ClusterParams make_cluster_params(const ExperimentConfig& config) {
   sim::ClusterParams cp;
   cp.num_nodes = config.nranks + 1;  // + driver (mpirun) node
   cp.seed = config.seed;
   cp.net.latency_s = config.net_latency_s;
   cp.net.bandwidth_Bps = config.net_bandwidth_Bps;
   cp.net.topology = config.topology;
-  cp.num_shards = effective_shards;
   cp.local_disk.bandwidth_Bps = config.disk_bandwidth_Bps;
   cp.local_disk.concurrency = config.storage.direct_concurrency;
   cp.num_remote_servers = config.remote_storage ? config.remote_servers : 0;
@@ -44,83 +39,14 @@ sim::ClusterParams make_cluster_params(const ExperimentConfig& config,
 
 }  // namespace
 
-std::vector<int> plan_rank_shards(const group::GroupSet& groups, int shards) {
-  GCR_CHECK(shards >= 1);
-  std::vector<int> plan(static_cast<std::size_t>(groups.nranks()), 0);
-  if (shards == 1) return plan;
-  std::vector<int> order(static_cast<std::size_t>(groups.num_groups()));
-  for (std::size_t g = 0; g < order.size(); ++g) {
-    order[g] = static_cast<int>(g);
-  }
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return groups.members(a).size() > groups.members(b).size();
-  });
-  std::vector<std::size_t> load(static_cast<std::size_t>(shards), 0);
-  for (const int g : order) {
-    std::size_t best = 0;
-    for (std::size_t s = 1; s < load.size(); ++s) {
-      if (load[s] < load[best]) best = s;
-    }
-    for (const mpi::RankId r : groups.members(g)) {
-      plan[static_cast<std::size_t>(r)] = static_cast<int>(best);
-    }
-    load[best] += groups.members(g).size();
-  }
-  return plan;
-}
-
 ExperimentResult run_experiment(const ExperimentConfig& config) {
   GCR_CHECK(config.app != nullptr);
   GCR_CHECK(config.nranks > 0);
 
-  // Shard residency (DESIGN.md §15.3): rank coroutines and their protocol
-  // state live on the shard the placement plan assigns them, so peer shards
-  // execute model work instead of idling. The gate covers every fabric
-  // (routed injection edges are shard-invariant), tiered storage (the
-  // home arbiter is reached over the ±L control edge) and tracing (per-rank
-  // buffers, canonical merge); what remains denied is shared state only
-  // reachable on the home engine: VCL's home-driven protocol, direct-mode
-  // remote NFS devices, and the whole-application restart replay. Denial is
-  // never silent — it is warned here and surfaced in ExperimentResult.
-  // Decided before the cluster exists because the effective shard count
-  // (clamped to occupied groups) shapes the cluster itself.
-  std::string denial;
-  if (config.shards > 1) {
-    if (config.protocol != ProtocolKind::kGroup) {
-      denial = "only the group protocol has a rank->shard placement plan";
-    } else if (config.remote_storage) {
-      denial = "direct-mode remote storage serializes through home-bound "
-               "NFS servers";
-    } else if (config.restart_after_finish) {
-      denial = "whole-application restart replays on the home engine";
-    } else if (config.churn.kind != sim::ChurnModelKind::kNone) {
-      denial = "elastic churn regroups ranks across group (and shard) "
-               "boundaries; the placement plan is fixed at construction";
-    }
-  }
-  bool resident = config.shards > 1 && denial.empty();
-  int effective_shards = 1;
-  if (resident) {
-    // More shards than checkpoint groups would leave shards with no ranks
-    // to run: the group-aligned plan never splits a group. Clamp to the
-    // occupied count so every shard that exists does model work.
-    const int occupied = config.groups ? config.groups->num_groups() : 1;
-    effective_shards = std::min(config.shards, occupied);
-    if (effective_shards < config.shards) {
-      GCR_INFO("--shards %d clamped to %d occupied checkpoint group(s)",
-               config.shards, effective_shards);
-    }
-    if (effective_shards <= 1) {
-      resident = false;
-      denial = "clamped to one shard (single checkpoint group)";
-      effective_shards = 1;
-    }
-  } else if (config.shards > 1) {
-    GCR_WARN("--shards %d demoted to the single home engine: %s",
-             config.shards, denial.c_str());
-  }
+  GCR_CHECK_MSG(config.shards == 1,
+                "ExperimentConfig::shards must be 1 (one engine per run)");
 
-  sim::Cluster cluster(make_cluster_params(config, effective_shards));
+  sim::Cluster cluster(make_cluster_params(config));
   mpi::Runtime runtime(cluster, config.nranks);
   apps::AppSpec spec = config.app(config.nranks);
 
@@ -150,13 +76,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   if (config.protocol == ProtocolKind::kGroup) {
     GCR_CHECK_MSG(config.groups.has_value(),
                   "group protocol requires a GroupSet");
-    if (resident) {
-      // Before the protocol exists: resident plans rebuild the Rank objects
-      // (their channels bind to the owning shard's engine) and rebind the
-      // per-node storage devices to their shards.
-      runtime.set_shard_plan(
-          plan_rank_shards(*config.groups, effective_shards), true);
-    }
     group_protocol = std::make_unique<core::GroupProtocol>(
         runtime, *config.groups, checkpointer, registry, spec.image_bytes,
         metrics, config.protocol_options);
@@ -209,26 +128,13 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   runtime.start_app(spec.body);
 
   const sim::Time deadline = sim::from_seconds(config.max_sim_s);
-  cluster.shards().run_while([&] {
-    // virtual_now() tracks the global window plan; the home clock freezes
-    // while the remaining activity lives on peer shards, which would make a
-    // home-clock deadline never fire in resident runs.
-    const sim::Time now = runtime.resident() ? cluster.shards().virtual_now()
-                                             : cluster.engine().now();
-    return !runtime.job_finished() && now < deadline;
+  cluster.engine().run_while([&] {
+    return !runtime.job_finished() && cluster.engine().now() < deadline;
   });
-  if (group_protocol) group_protocol->finalize_metrics();
 
   ExperimentResult result;
   result.finished = runtime.job_finished();
-  // Resident runs end on whichever shard hosted the last rank to finish;
-  // finish_time() records that instant exactly (the home clock may trail by
-  // up to one lookahead fence).
-  const sim::Time end_time =
-      runtime.resident()
-          ? (result.finished ? runtime.finish_time()
-                             : cluster.shards().max_now())
-          : cluster.engine().now();
+  const sim::Time end_time = cluster.engine().now();
   result.exec_time_s = sim::to_seconds(end_time);
   result.app_messages = runtime.app_messages_sent();
   result.app_bytes = runtime.app_bytes_sent();
@@ -254,7 +160,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     const std::size_t before = metrics.restarts.size();
     recovery->restart_all_at(cluster.engine().now() + sim::from_seconds(1.0));
     const std::size_t want = before + static_cast<std::size_t>(config.nranks);
-    cluster.shards().run_while([&] {
+    cluster.engine().run_while([&] {
       return metrics.restarts.size() < want &&
              cluster.engine().now() < deadline + sim::from_seconds(5000);
     });
@@ -267,13 +173,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     }
   }
 
-  result.resident = resident;
-  result.effective_shards = effective_shards;
-  result.denial_reason = std::move(denial);
-  for (int s = 0; s < effective_shards; ++s) {
-    result.shard_events.push_back(cluster.shards().shard_events(s));
-  }
+  result.shard_events = {cluster.engine().events_processed()};
   result.checkpoints_completed = metrics.completed_rounds(config.nranks);
+  result.rounds_issued = scheduler ? scheduler->rounds_issued() : 0;
   if (const ckpt::TierStats* ts = checkpointer.tier_stats()) {
     result.tier_stats = *ts;
   }

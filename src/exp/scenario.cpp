@@ -107,6 +107,7 @@ ExperimentResult Collector::run(const ExperimentConfig& config) {
   ExperimentResult result = run_experiment(config);
   ++runs;
   if (!result.finished) ++unfinished;
+  if (result.vacuous()) ++vacuous;
   return result;
 }
 

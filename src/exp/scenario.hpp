@@ -88,12 +88,14 @@ class Collector {
 
   /// Runs one experiment with watchdog accounting: a run whose watchdog
   /// tripped (`finished == false`) is counted so the campaign can report it
-  /// instead of silently averaging a truncated execution time. Job hooks
-  /// should call this rather than run_experiment directly.
+  /// instead of silently averaging a truncated execution time, and so is a
+  /// vacuous run (ExperimentResult::vacuous). Job hooks should call this
+  /// rather than run_experiment directly.
   ExperimentResult run(const ExperimentConfig& config);
 
   int runs = 0;        ///< experiments executed by this job
   int unfinished = 0;  ///< of those, watchdog-tripped ones
+  int vacuous = 0;     ///< of those, finished without a checkpoint round
   std::vector<std::pair<std::string, double>> samples;
   std::vector<std::string> texts;
 };
@@ -101,7 +103,8 @@ class Collector {
 /// A declarative sweep: name, axes, repetitions, and the per-point hooks.
 /// Exactly one of the two execution paths must be set:
 ///  * `config` (+ `collect`): the runner executes the built config once per
-///    point; watchdog-tripped runs are counted and NOT passed to `collect`.
+///    point; watchdog-tripped and vacuous runs are counted and NOT passed
+///    to `collect`.
 ///  * `job`: full control for points that need several chained runs (e.g.
 ///    Figure 13's probe + fairness chain) or no run_experiment at all.
 struct Scenario {

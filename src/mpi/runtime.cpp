@@ -63,7 +63,7 @@ sim::Co<void> AppHandle::compute(double seconds) {
   return rt_->compute(*rank_, seconds);
 }
 double AppHandle::now_s() const {
-  return sim::to_seconds(rt_->engine_of(*rank_).now());
+  return sim::to_seconds(rt_->engine().now());
 }
 sim::Co<void> AppHandle::safepoint(std::uint64_t iteration) {
   return rt_->safepoint(*rank_, iteration);
@@ -126,35 +126,13 @@ sim::Co<void> Runtime::run_app_body(Rank& rank) {
 
 void Runtime::note_app_finished(Rank& rank) {
   rank.finished_ = true;
-  const int done = finished_ranks_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // The job's completion instant is the max over ranks of the local finish
-  // time — exact and shard-count-independent, unlike the home clock, which
-  // freezes while activity lives on peer shards.
-  const sim::Time t = engine_of(rank).now();
-  sim::Time cur = finish_time_.load(std::memory_order_relaxed);
-  while (t > cur &&
-         !finish_time_.compare_exchange_weak(cur, t,
-                                             std::memory_order_relaxed)) {
-  }
-  note_finished_delta(rank, 1);
+  ++finished_ranks_;
   if (protocol_) protocol_->rank_finished(rank);
-  if (done == nranks() && !resident_) job_done_->fire();
-}
-
-void Runtime::note_finished_delta(const Rank& rank, int delta) {
-  if (!resident_) return;
-  sim::ShardedEngine& sh = cluster_->shards();
-  const int from = shard_of(rank.id());
-  const int n = nranks();
-  sh.post_at(from, /*to=*/0, sh.shard(from).now() + sh.lookahead(),
-             [this, delta, n] {
-               finished_view_home_ += delta;
-               if (finished_view_home_ == n) job_done_->fire();
-             });
+  if (finished_ranks_ == nranks()) job_done_->fire();
 }
 
 void Runtime::spawn_app_coroutine(Rank& rank) {
-  rank.app_proc_ = engine_of(rank).spawn("rank" + std::to_string(rank.id()),
+  rank.app_proc_ = engine().spawn("rank" + std::to_string(rank.id()),
                                          app_wrapper(this, &rank));
 }
 
@@ -167,8 +145,8 @@ void Runtime::stamp_outgoing(Rank& rank, Message& msg) {
   msg.seq = sv.count;
   msg.cum_bytes = sv.bytes;
   msg.checksum = message_checksum(msg.src, msg.dst, msg.seq);
-  app_messages_sent_.fetch_add(1, std::memory_order_relaxed);
-  app_bytes_sent_.fetch_add(msg.bytes, std::memory_order_relaxed);
+  ++app_messages_sent_;
+  app_bytes_sent_ += msg.bytes;
 }
 
 sim::Network::SendTimes Runtime::transmit(const Message& msg) {
@@ -182,22 +160,18 @@ sim::Network::SendTimes Runtime::transmit(const Message& msg) {
       [this, m = std::move(copy)]() mutable { deliver(std::move(m)); });
 }
 
-sim::Co<void> Runtime::await_egress(sim::Engine& eng, std::uint64_t ticket) {
+sim::Co<void> Runtime::await_egress(std::uint64_t ticket) {
   sim::Network& net = cluster_->network();
   if (ticket == 0 || !net.egress_pending(ticket)) co_return;
   // RAII unregistration mirrors StorageDevice's ShareGuard: if the waiting
   // coroutine is killed mid-wait, the fabric must not fire into a dead
   // stack frame. Clearing a completed/aborted ticket is a no-op.
-  //
-  // `eng` must be the CALLER's engine: the ticket's slot lives on the
-  // sending rank's shard, and the egress-done op fires the trigger from
-  // that shard — a home-engine trigger would be a cross-shard write.
   struct EgressGuard {
     sim::Network* net;
     std::uint64_t ticket;
     ~EgressGuard() { net->clear_egress_trigger(ticket); }
   };
-  sim::Trigger egress(eng);
+  sim::Trigger egress(engine());
   EgressGuard guard{&net, ticket};
   net.set_egress_trigger(ticket, &egress);
   co_await egress.wait();
@@ -214,7 +188,7 @@ sim::Co<void> Runtime::send(Rank& rank, RankId dst, int tag,
   msg.tag = tag;
   msg.bytes = bytes;
   msg.src_inc = rank.incarnation_;
-  msg.dst_inc = incarnation_view(shard_of(rank.id()), dst);
+  msg.dst_inc = ranks_[static_cast<std::size_t>(dst)]->incarnation_;
   stamp_outgoing(rank, msg);
   bool transmit_it = true;
   if (protocol_) transmit_it = co_await protocol_->before_send(rank, msg);
@@ -222,9 +196,9 @@ sim::Co<void> Runtime::send(Rank& rank, RankId dst, int tag,
   if (transmit_it) {
     const auto times = transmit(msg);
     if (times.ticket != 0) {
-      co_await await_egress(engine_of(rank), times.ticket);
+      co_await await_egress(times.ticket);
     } else {
-      sim::Engine& eng = engine_of(rank);
+      sim::Engine& eng = engine();
       const sim::Time now = eng.now();
       if (times.egress_done > now) {
         co_await sim::delay(eng, times.egress_done - now);
@@ -242,7 +216,7 @@ sim::Co<Message> Runtime::sendrecv(Rank& rank, RankId dst, int stag,
   msg.tag = stag;
   msg.bytes = sbytes;
   msg.src_inc = rank.incarnation_;
-  msg.dst_inc = incarnation_view(shard_of(rank.id()), dst);
+  msg.dst_inc = ranks_[static_cast<std::size_t>(dst)]->incarnation_;
   stamp_outgoing(rank, msg);
   bool transmit_it = true;
   if (protocol_) transmit_it = co_await protocol_->before_send(rank, msg);
@@ -251,9 +225,9 @@ sim::Co<Message> Runtime::sendrecv(Rank& rank, RankId dst, int stag,
   if (transmit_it) times = transmit(msg);
   Message in = co_await recv(rank, src, rtag);
   if (times.ticket != 0) {
-    co_await await_egress(engine_of(rank), times.ticket);
+    co_await await_egress(times.ticket);
   } else {
-    sim::Engine& eng = engine_of(rank);
+    sim::Engine& eng = engine();
     const sim::Time now = eng.now();
     if (times.egress_done > now) {
       co_await sim::delay(eng, times.egress_done - now);
@@ -306,7 +280,7 @@ sim::Co<Message> Runtime::wait_match(Rank& rank, RankId src, int tag) {
       return std::move(msg);
     }
   };
-  co_return co_await RecvAwaiter{&engine_of(rank), &rank, src, tag, {}, {}};
+  co_return co_await RecvAwaiter{&engine(), &rank, src, tag, {}, {}};
 }
 
 void Runtime::verify_consume(Rank& rank, const Message& msg) {
@@ -322,12 +296,10 @@ void Runtime::verify_consume(Rank& rank, const Message& msg) {
 void Runtime::deliver(Message msg) {
   Rank& dst = *ranks_[static_cast<std::size_t>(msg.dst)];
   // Stale incarnation or dead destination: the wire data is lost (connection
-  // reset); sender-based logs cover re-delivery after restart. The sender's
-  // incarnation is judged from the receiver shard's view — never a peer
-  // shard's sim-future.
+  // reset); sender-based logs cover re-delivery after restart.
   if (!dst.alive_ || msg.dst_inc != dst.incarnation_) return;
   if (msg.src != kExternalSource &&
-      msg.src_inc != incarnation_view(shard_of(msg.dst), msg.src)) {
+      msg.src_inc != ranks_[static_cast<std::size_t>(msg.src)]->incarnation_) {
     return;
   }
   if (msg.is_ctrl()) {
@@ -357,7 +329,7 @@ bool Runtime::is_duplicate(const Rank& rank, const Message& msg) const {
 }
 
 void Runtime::match_or_buffer(Rank& rank, Message msg) {
-  sim::Engine& eng = engine_of(rank);
+  sim::Engine& eng = engine();
   if (rank.waiting_ && eng.waiter_live(rank.waiting_->waiter) &&
       is_next_in_sequence(
           msg, rank.waiting_->src,
@@ -373,8 +345,8 @@ void Runtime::match_or_buffer(Rank& rank, Message msg) {
   rank.pending_.push_back(std::move(msg));
 }
 
-sim::Co<void> Runtime::compute(Rank& rank, double seconds) {
-  co_await sim::delay(engine_of(rank), sim::from_seconds(seconds));
+sim::Co<void> Runtime::compute(Rank& /*rank*/, double seconds) {
+  co_await sim::delay(engine(), sim::from_seconds(seconds));
 }
 
 sim::Co<void> Runtime::safepoint(Rank& rank, std::uint64_t iteration) {
@@ -484,13 +456,10 @@ void Runtime::send_ctrl(RankId src_rank, RankId dst, Message msg) {
   GCR_CHECK(msg.is_ctrl());
   msg.src = src_rank;
   msg.dst = dst;
-  // The driver runs on the home shard; rank daemons stamp from their own
-  // shard's view.
-  const int view = src_rank == kExternalSource ? 0 : shard_of(src_rank);
   msg.src_inc = src_rank == kExternalSource
                     ? 0
                     : ranks_[static_cast<std::size_t>(src_rank)]->incarnation_;
-  msg.dst_inc = incarnation_view(view, dst);
+  msg.dst_inc = ranks_[static_cast<std::size_t>(dst)]->incarnation_;
   if (msg.bytes == 0) {
     msg.bytes =
         kSyncBytes + static_cast<std::int64_t>(msg.ctrl_data.size()) * 8;
@@ -508,7 +477,7 @@ sim::Network::SendTimes Runtime::replay_send(Rank& sender,
   msg.is_replay = true;
   msg.piggyback_rr = -1;
   msg.src_inc = sender.incarnation_;
-  msg.dst_inc = incarnation_view(shard_of(sender.id()), msg.dst);
+  msg.dst_inc = ranks_[static_cast<std::size_t>(msg.dst)]->incarnation_;
   return transmit(msg);
 }
 
@@ -527,19 +496,15 @@ RankSnapshot Runtime::snapshot_rank(const Rank& rank) const {
 void Runtime::kill_rank(Rank& rank) {
   GCR_CHECK(rank.alive_);
   rank.alive_ = false;
-  // Resident mode: this must run on the rank's shard (recovery posts its
-  // kill orders there); publish the death to peer shards' views first so
-  // the fence sequences before any protocol fixup posted below.
-  broadcast_peer_view(rank);
   // Drop the node's queued/in-flight fabric transfers *before* unwinding
   // its coroutines, so no completion can fire into a stack being torn
   // down, and survivors reclaim the dead sender's link shares. Flat no-op.
   cluster_->network().abort_transfers_from(rank.node());
   if (rank.app_proc_ && rank.app_proc_->alive()) {
-    engine_of(rank).kill(*rank.app_proc_);
+    engine().kill(*rank.app_proc_);
   }
   if (rank.daemon_proc_ && rank.daemon_proc_->alive()) {
-    engine_of(rank).kill(*rank.daemon_proc_);
+    engine().kill(*rank.daemon_proc_);
   }
   if (protocol_) protocol_->rank_killed(rank);
 }
@@ -547,7 +512,6 @@ void Runtime::kill_rank(Rank& rank) {
 void Runtime::begin_restart(Rank& rank) {
   GCR_CHECK_MSG(!rank.alive_, "kill_rank must precede begin_restart");
   ++rank.incarnation_;
-  broadcast_peer_view(rank);
   rank.pending_.clear();
   rank.waiting_.reset();
   rank.ctrl_in_.clear();
@@ -559,8 +523,7 @@ void Runtime::begin_restart(Rank& rank) {
   rank.start_iteration_ = 0;
   if (rank.finished_) {
     rank.finished_ = false;
-    finished_ranks_.fetch_sub(1, std::memory_order_relaxed);
-    note_finished_delta(rank, -1);
+    --finished_ranks_;
   }
 }
 
@@ -577,9 +540,6 @@ void Runtime::restore_rank(Rank& rank, const RankSnapshot& snap) {
 void Runtime::respawn_rank(Rank& rank) {
   GCR_CHECK(!rank.alive_);
   rank.alive_ = true;
-  // View fence first: a peer acting on the protocol's started fixup (posted
-  // after this, same mailbox batch) already sees the new incarnation alive.
-  broadcast_peer_view(rank);
   if (protocol_) protocol_->rank_started(rank);
   spawn_app_coroutine(rank);
 }
@@ -614,82 +574,7 @@ void Runtime::debug_dump(std::ostream& os) const {
 void Runtime::clear_finished(Rank& rank) {
   if (rank.finished_) {
     rank.finished_ = false;
-    finished_ranks_.fetch_sub(1, std::memory_order_relaxed);
-    note_finished_delta(rank, -1);
-  }
-}
-
-void Runtime::set_shard_plan(std::vector<int> plan, bool resident) {
-  GCR_CHECK_MSG(plan.size() == ranks_.size(),
-                "shard plan must cover every rank");
-  const int shards = cluster_->shards().num_shards();
-  for (const int s : plan) {
-    GCR_CHECK_MSG(s >= 0 && s < shards, "shard plan names a missing shard");
-  }
-  shard_plan_ = std::move(plan);
-  resident_ = resident && shards > 1;
-  if (!resident_) return;
-
-  GCR_CHECK_MSG(protocol_ == nullptr && !app_body_,
-                "a resident plan must be installed before the protocol is "
-                "constructed and before start_app (engine bindings are fixed "
-                "at construction)");
-  // Rebuild every rank on its shard's engine: the control channel, resume
-  // gate and (later) coroutines all bind to the owning engine.
-  const int n = nranks();
-  for (int r = 0; r < n; ++r) {
-    ranks_[static_cast<std::size_t>(r)] =
-        std::make_unique<Rank>(engine_of(r), r, /*node=*/r, n);
-  }
-  peer_view_.assign(static_cast<std::size_t>(shards),
-                    std::vector<PeerView>(static_cast<std::size_t>(n)));
-  finished_view_home_ = 0;
-  // Nodes follow their ranks; the driver's NIC stays on the home shard.
-  std::vector<int> node_shard(static_cast<std::size_t>(cluster_->num_nodes()),
-                              0);
-  for (int r = 0; r < n; ++r) {
-    node_shard[static_cast<std::size_t>(r)] = shard_of(r);
-  }
-  cluster_->network().set_shard_router(&cluster_->shards(), node_shard);
-  cluster_->rebind_local_disks(node_shard);
-  cluster_->rebind_node_buffers(node_shard);
-}
-
-int Runtime::shard_of(RankId rank) const {
-  GCR_ASSERT(rank >= 0 && rank < nranks());
-  if (shard_plan_.empty()) return 0;
-  return shard_plan_[static_cast<std::size_t>(rank)];
-}
-
-std::uint32_t Runtime::incarnation_view(int shard, RankId r) const {
-  if (!resident_ || shard == shard_of(r)) {
-    return ranks_[static_cast<std::size_t>(r)]->incarnation_;
-  }
-  return peer_view_[static_cast<std::size_t>(shard)][static_cast<std::size_t>(r)]
-      .inc;
-}
-
-bool Runtime::peer_alive(const Rank& reader, RankId q) const {
-  const int shard = shard_of(reader.id());
-  if (!resident_ || shard == shard_of(q)) {
-    return ranks_[static_cast<std::size_t>(q)]->alive();
-  }
-  return peer_view_[static_cast<std::size_t>(shard)][static_cast<std::size_t>(q)]
-      .alive;
-}
-
-void Runtime::broadcast_peer_view(const Rank& rank) {
-  if (!resident_) return;
-  sim::ShardedEngine& sh = cluster_->shards();
-  const int from = shard_of(rank.id());
-  const sim::Time at = sh.shard(from).now() + sh.lookahead();
-  const PeerView pv{rank.incarnation_, rank.alive_};
-  const auto r = static_cast<std::size_t>(rank.id());
-  for (int s = 0; s < sh.num_shards(); ++s) {
-    if (s == from) continue;
-    sh.post_at(from, s, at, [this, s, r, pv] {
-      peer_view_[static_cast<std::size_t>(s)][r] = pv;
-    });
+    --finished_ranks_;
   }
 }
 

@@ -7,10 +7,8 @@
 // wait queues after a kill are detected with waiter_live() — a recycled
 // slot's bumped generation reads as dead, so nothing needs shared ownership.
 //
-// All of these are shard-local: an awaitable holds one Engine& and its
-// waiter slot lives in that engine's pool, so waiter and firer must share a
-// shard (sim/shard.hpp). To fire a trigger across shards, post_at a
-// callback to the owning shard and fire from there.
+// An awaitable holds one Engine& and its waiter slot lives in that
+// engine's pool, so waiter and firer must share an engine.
 #pragma once
 
 #include <coroutine>

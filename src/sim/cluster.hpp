@@ -14,6 +14,7 @@
 //     lives in ckpt/tiers.hpp; the cluster only owns the devices.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -22,7 +23,6 @@
 #include "sim/engine.hpp"
 #include "sim/jitter.hpp"
 #include "sim/network.hpp"
-#include "sim/shard.hpp"
 #include "sim/storage.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -49,15 +49,6 @@ struct StorageTierParams {
 struct ClusterParams {
   int num_nodes = 16;
   std::uint64_t seed = 1;
-  /// Engine shards (sim/shard.hpp). 1 (default) is the literal
-  /// single-threaded engine. With N > 1, the cluster owns N engines driven
-  /// in conservative-lookahead windows; model objects currently all live on
-  /// the home shard (see DESIGN.md §15.3), so peer shards host only
-  /// explicitly-placed work.
-  int num_shards = 1;
-  /// Conservative-lookahead horizon in seconds; 0 derives the minimum
-  /// cross-node latency from `net` (Network::min_remote_latency_s).
-  double lookahead_s = 0;
   NetParams net;
   StorageParams local_disk{/*bandwidth_Bps=*/100e6, /*latency_s=*/5e-3};
   int num_remote_servers = 0;  ///< checkpoint servers (0 = local disk only)
@@ -70,15 +61,12 @@ class Cluster {
  public:
   explicit Cluster(const ClusterParams& params)
       : params_(params),
-        shards_(params.num_shards,
-                from_seconds(params.lookahead_s > 0
-                                 ? params.lookahead_s
-                                 : Network::min_remote_latency_s(params.net))),
-        network_(shards_.home(), params.num_nodes, params.net,
+        control_latency_(std::max<Time>(
+            1, from_seconds(Network::min_remote_latency_s(params.net)))),
+        network_(engine_, params.num_nodes, params.net,
                  mix_seed(params.seed, /*stream_id=*/0x726f757465)),
         jitter_(params.jitter) {
     GCR_CHECK(params.num_nodes > 0);
-    Engine& engine_ = shards_.home();  // devices all live on the home shard
     local_disks_.reserve(static_cast<std::size_t>(params.num_nodes));
     for (int n = 0; n < params.num_nodes; ++n) {
       local_disks_.push_back(std::make_unique<StorageDevice>(
@@ -103,13 +91,11 @@ class Cluster {
   }
 
   const ClusterParams& params() const { return params_; }
-  /// The home shard's engine — where every model object (network, storage,
-  /// protocol daemons) lives. Single-shard clusters are exactly the old
-  /// single-engine cluster.
-  Engine& engine() { return shards_.home(); }
-  /// The shard set; drive runs through this so multi-shard clusters get the
-  /// windowed coordinator (shards().run_while == engine().run_while at S=1).
-  ShardedEngine& shards() { return shards_; }
+  Engine& engine() { return engine_; }
+  /// L, the fixed delay of the control-plane edges between a rank and the
+  /// shared home-side machinery (recovery orders, tier RPCs): the minimum
+  /// remote-message latency, at least one tick (DESIGN.md §15.2).
+  Time control_latency() const { return control_latency_; }
   Network& network() { return network_; }
   const JitterModel& jitter_model() const { return jitter_; }
 
@@ -119,50 +105,6 @@ class Cluster {
   StorageDevice& local_disk(int node) {
     GCR_CHECK(node >= 0 && node < num_nodes());
     return *local_disks_[static_cast<std::size_t>(node)];
-  }
-
-  /// Shard-resident mode: re-creates each node's private disk bound to the
-  /// node's shard engine, so a rank's direct checkpoint IO runs entirely on
-  /// its own shard. Only legal before any disk has been used (the devices
-  /// are rebuilt with fresh queues). Shared direct devices (NFS) stay home;
-  /// resident configs exclude them.
-  void rebind_local_disks(const std::vector<int>& node_to_shard) {
-    GCR_CHECK(node_to_shard.size() ==
-              static_cast<std::size_t>(params_.num_nodes));
-    node_shard_ = node_to_shard;
-    for (int n = 0; n < params_.num_nodes; ++n) {
-      Engine& eng = shards_.shard(node_to_shard[static_cast<std::size_t>(n)]);
-      local_disks_[static_cast<std::size_t>(n)] =
-          std::make_unique<StorageDevice>(eng, "disk" + std::to_string(n),
-                                          params_.local_disk);
-    }
-  }
-
-  /// Shard-resident tiered storage: re-creates each node's staging buffer
-  /// bound to the node's shard engine, so the memory-speed image copy (and
-  /// a warm-restart read) runs on the rank's own shard. The shared tiers
-  /// (burst buffers, PFS) stay home — ckpt::TierStore reaches them through
-  /// its canonical op queue (DESIGN.md §15.3). No-op without a tier
-  /// hierarchy; only legal before any buffer has been used.
-  void rebind_node_buffers(const std::vector<int>& node_to_shard) {
-    GCR_CHECK(node_to_shard.size() ==
-              static_cast<std::size_t>(params_.num_nodes));
-    node_shard_ = node_to_shard;
-    if (!has_tiered_storage()) return;
-    for (int n = 0; n < params_.num_nodes; ++n) {
-      Engine& eng = shards_.shard(node_to_shard[static_cast<std::size_t>(n)]);
-      node_buffers_[static_cast<std::size_t>(n)] =
-          std::make_unique<StorageDevice>(eng, "nbuf" + std::to_string(n),
-                                          params_.tiers.node_buffer);
-    }
-  }
-
-  /// The shard owning a node's model objects (0 for every node until a
-  /// resident plan rebinds devices).
-  int node_shard(int node) const {
-    GCR_CHECK(node >= 0 && node < num_nodes());
-    return node_shard_.empty() ? 0
-                               : node_shard_[static_cast<std::size_t>(node)];
   }
 
   bool has_remote_storage() const { return !remote_servers_.empty(); }
@@ -208,9 +150,9 @@ class Cluster {
 
  private:
   ClusterParams params_;
-  std::vector<int> node_shard_;  ///< empty until a resident plan is set
-  /// Declared before every device so the engines are destroyed last.
-  ShardedEngine shards_;
+  /// Declared before every device so the engine is destroyed last.
+  Engine engine_;
+  Time control_latency_;
   Network network_;
   JitterModel jitter_;
   std::vector<std::unique_ptr<StorageDevice>> local_disks_;

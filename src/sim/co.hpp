@@ -9,9 +9,8 @@
 //    when a process is killed).
 //  * Exceptions propagate to the awaiting parent. `ProcessKilled` is thrown
 //    by the engine when a killed process resumes and unwinds the whole chain.
-//  * A coroutine chain is pinned to the shard (Engine) it was spawned on;
-//    resumption always comes from that engine's dispatch loop, never from
-//    another shard's thread (sim/shard.hpp).
+//  * A coroutine chain is pinned to the Engine it was spawned on;
+//    resumption always comes from that engine's dispatch loop.
 #pragma once
 
 #include <coroutine>

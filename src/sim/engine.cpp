@@ -171,8 +171,7 @@ void Engine::wheel_insert(const Event& e) {
   if (e.at < wheel_cur_) {
     // Behind the lazily-advanced cursor (but still >= now_): the wheel's
     // placement rule would wrap, so the heap absorbs it. Rare — only
-    // possible in the gap a speculative peek opened past now_, or for a
-    // cross-shard arrival injected behind an advanced cursor.
+    // possible in the gap a speculative peek opened past now_.
     heap_push(e);
     return;
   }
@@ -544,23 +543,6 @@ std::uint64_t Engine::run_while(const std::function<bool()>& keep_going) {
   // Same predicate order as run(): emptiness first, keep_going second, so
   // the predicate is never consulted once the queue has drained.
   while (!idle() && keep_going() && pop_next(kTimeMax, ev)) {
-    GCR_ASSERT(ev.at >= now_);
-    now_ = ev.at;
-    dispatch(ev);
-    ++processed;
-    ++events_processed_;
-  }
-  return processed;
-}
-
-std::uint64_t Engine::run_window(Time until,
-                                 const std::function<bool()>* keep_going) {
-  // `until` may lie behind now() (a shard ahead of a peer's horizon gets an
-  // empty window); pop_next then finds nothing, which is the right answer.
-  std::uint64_t processed = 0;
-  Event ev;
-  while ((keep_going == nullptr || (!idle() && (*keep_going)())) &&
-         pop_next(until, ev)) {
     GCR_ASSERT(ev.at >= now_);
     now_ = ev.at;
     dispatch(ev);

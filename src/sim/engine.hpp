@@ -136,17 +136,8 @@ class Engine {
   /// draining long-lived daemons' future events.
   std::uint64_t run_while(const std::function<bool()>& keep_going);
 
-  /// Bounded-window variant used by the sharded driver (sim/shard.hpp):
-  /// like run(until) but never force-advances now() past the last executed
-  /// event, so repeated windows leave the clock exactly where a single
-  /// uninterrupted run would. `keep_going` (optional) is checked before
-  /// each event, as in run_while.
-  std::uint64_t run_window(Time until,
-                           const std::function<bool()>* keep_going = nullptr);
-
   /// Exact timestamp of the earliest pending event, or kTimeMax if idle.
   /// May lazily cascade wheel slots (state mutation invisible to ordering).
-  /// The conservative-lookahead horizon computation relies on exactness.
   Time next_event_time();
 
   /// True if no events remain.

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "sim/awaitables.hpp"
-#include "sim/shard.hpp"
 #include "util/assert.hpp"
 
 namespace gcr::sim {
@@ -26,7 +25,6 @@ Network::Network(Engine& engine, int num_nodes, const NetParams& params,
     link_active_.assign(nlinks, 0);
     nodes_.resize(static_cast<std::size_t>(num_nodes));
     recip_ = {0.0, 1.0};  // recip_[a] = 1/a; grown as link occupancy grows
-    lanes_.resize(1);  // unsharded: every sender shares the home lane
     node_seq_.assign(static_cast<std::size_t>(num_nodes), 0);
   } else {
     // Flat still exposes a (zeroed) load view so introspection is uniform.
@@ -34,63 +32,34 @@ Network::Network(Engine& engine, int num_nodes, const NetParams& params,
   }
 }
 
-void Network::set_shard_router(ShardedEngine* shards,
-                               std::vector<int> node_to_shard) {
-  GCR_CHECK(shards != nullptr);
-  GCR_CHECK(node_to_shard.size() == static_cast<std::size_t>(num_nodes()));
-  for (const int s : node_to_shard) {
-    GCR_CHECK(s >= 0 && s < shards->num_shards());
-  }
-  if (routed()) {
-    // The contention machine stays whole on the home engine; residency
-    // reaches it over the one-hop injection edge. Both directions of that
-    // edge post exactly inject_latency() ahead, so the window lookahead
-    // must not exceed it (cluster derives the lookahead from
-    // min_remote_latency_s == hop_latency_s, matching the floor).
-    GCR_CHECK_MSG(&shards->shard(0) == engine_,
-                  "routed fabric must live on shard 0 (the home engine)");
-    GCR_CHECK(shards->lookahead() <= inject_latency());
-    lanes_.resize(static_cast<std::size_t>(shards->num_shards()));
-  }
-  shards_ = shards;
-  node_shard_ = std::move(node_to_shard);
-}
-
-Engine& Network::shard_engine(int node) {
-  return shards_->shard(node_shard(node));
-}
-
 Network::SendTimes Network::send(int src_node, int dst_node,
                                  std::int64_t bytes, SmallFn deliver) {
   GCR_CHECK(src_node >= 0 && src_node < num_nodes());
   GCR_CHECK(dst_node >= 0 && dst_node < num_nodes());
   GCR_CHECK(bytes >= 0);
-  total_messages_.fetch_add(1, std::memory_order_relaxed);
-  total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  ++total_messages_;
+  total_bytes_ += bytes;
 
-  Engine& src_eng = engine_for(src_node);
-  const Time now = src_eng.now();
+  const Time now = engine_->now();
   if (src_node == dst_node) {
-    // Same-node copy bypasses NIC and fabric alike (and, resident, never
-    // leaves the node's shard). The 1-tick floor keeps a zero-byte copy
-    // from being instantaneous under degenerate (zero latency) configs;
-    // defaults are unaffected.
+    // Same-node copy bypasses NIC and fabric alike. The 1-tick floor keeps
+    // a zero-byte copy from being instantaneous under degenerate (zero
+    // latency) configs; defaults are unaffected.
     const Time copy = from_seconds(
         params_.loopback_latency_s +
         static_cast<double>(bytes) / params_.loopback_Bps);
     const Time arrival = now + std::max<Time>(1, copy);
-    src_eng.call_at(arrival, std::move(deliver));
+    engine_->call_at(arrival, std::move(deliver));
     return {arrival, arrival, 0};
   }
   if (!routed()) {
-    return send_flat(src_node, dst_node, bytes, std::move(deliver), now);
+    return send_flat(src_node, bytes, std::move(deliver), now);
   }
   return send_routed(src_node, dst_node, bytes, std::move(deliver), now);
 }
 
-Network::SendTimes Network::send_flat(int src_node, int dst_node,
-                                      std::int64_t bytes, SmallFn deliver,
-                                      Time now) {
+Network::SendTimes Network::send_flat(int src_node, std::int64_t bytes,
+                                      SmallFn deliver, Time now) {
   const Time occupy = from_seconds(
       params_.per_message_s + static_cast<double>(bytes) / params_.bandwidth_Bps);
   Time& nic_free = egress_free_[static_cast<std::size_t>(src_node)];
@@ -99,21 +68,14 @@ Network::SendTimes Network::send_flat(int src_node, int dst_node,
   nic_free = egress_done;
   const Time arrival = std::max(egress_done + from_seconds(params_.latency_s),
                                 now + 1);
-  if (shards_ == nullptr || node_shard(src_node) == node_shard(dst_node)) {
-    engine_for(src_node).call_at(arrival, std::move(deliver));
-  } else {
-    // Lookahead-sound: arrival >= now + latency, and the sharded engine's
-    // lookahead is derived from exactly this latency (min_remote_latency_s).
-    shards_->post_at(node_shard(src_node), node_shard(dst_node), arrival,
-                     std::move(deliver));
-  }
+  engine_->call_at(arrival, std::move(deliver));
   return {egress_done, arrival, 0};
 }
 
 Network::SendTimes Network::send_routed(int src_node, int dst_node,
                                         std::int64_t bytes, SmallFn deliver,
                                         Time now) {
-  OpSlot* op = alloc_slot(node_shard(src_node));
+  OpSlot* op = alloc_slot();
   op->seq = node_seq_[static_cast<std::size_t>(src_node)]++;
   op->src = src_node;
   op->dst = dst_node;
@@ -126,8 +88,8 @@ Network::SendTimes Network::send_routed(int src_node, int dst_node,
   // The closure carries only {this, op} — inline in SmallFn — and the op
   // slot carries the payload, so the steady path posts without allocating.
   const Time inject = now + inject_latency();
-  post_to_fabric(src_node, inject,
-                 SmallFn([this, op] { enqueue_fabric_op(op->src, op->seq, op); }));
+  engine_->call_at(
+      inject, SmallFn([this, op] { enqueue_fabric_op(op->src, op->seq, op); }));
 
   // Uncontended estimates mirroring the routed arithmetic (inject, full-
   // rate drain, then the per-message + remaining-hop delivery delay over a
@@ -143,18 +105,16 @@ Network::SendTimes Network::send_routed(int src_node, int dst_node,
   return {est_clear + inject_latency(), est_clear + delivery, make_ticket(*op)};
 }
 
-Network::OpSlot* Network::alloc_slot(int lane_id) {
-  Lane& lane = lanes_[static_cast<std::size_t>(lane_id)];
-  if (!lane.free.empty()) {
-    OpSlot* s = &lane.slots[lane.free.back()];
-    lane.free.pop_back();
+Network::OpSlot* Network::alloc_slot() {
+  if (!free_slots_.empty()) {
+    OpSlot* s = &slots_[free_slots_.back()];
+    free_slots_.pop_back();
     return s;
   }
-  GCR_CHECK(lane.slots.size() < (1u << 24) - 1);  // ticket field width
-  lane.slots.emplace_back();
-  OpSlot& s = lane.slots.back();
-  s.lane = static_cast<std::uint16_t>(lane_id);
-  s.self = static_cast<std::uint32_t>(lane.slots.size() - 1);
+  GCR_CHECK(slots_.size() < 0xffffffffu - 1);  // ticket field width
+  slots_.emplace_back();
+  OpSlot& s = slots_.back();
+  s.self = static_cast<std::uint32_t>(slots_.size() - 1);
   return &s;
 }
 
@@ -168,19 +128,15 @@ void Network::finalize_slot(OpSlot* op) {
   }
   op->deliver = SmallFn();
   ++op->epoch;  // stale tickets stop resolving
-  lanes_[op->lane].free.push_back(op->self);
+  free_slots_.push_back(op->self);
 }
 
 const Network::OpSlot* Network::ticket_op(std::uint64_t ticket) const {
   if (ticket == 0) return nullptr;
-  const std::size_t lane_id = static_cast<std::size_t>(ticket >> 56);
-  const std::uint32_t self =
-      (static_cast<std::uint32_t>(ticket >> 32) & 0xffffffu);
+  const std::uint32_t self = static_cast<std::uint32_t>(ticket >> 32);
   const std::uint32_t epoch = static_cast<std::uint32_t>(ticket);
-  if (lane_id >= lanes_.size() || self == 0) return nullptr;
-  const Lane& lane = lanes_[lane_id];
-  if (self - 1 >= lane.slots.size()) return nullptr;
-  const OpSlot& s = lane.slots[self - 1];
+  if (self == 0 || self - 1 >= slots_.size()) return nullptr;
+  const OpSlot& s = slots_[self - 1];
   if (s.epoch != epoch) return nullptr;
   return &s;
 }
@@ -202,42 +158,23 @@ void Network::clear_egress_trigger(std::uint64_t ticket) {
   if (s != nullptr) s->egress = nullptr;
 }
 
-void Network::post_to_fabric(int src_node, Time at, SmallFn fn) {
-  const int s = node_shard(src_node);
-  if (shards_ == nullptr || s == 0) {
-    engine_->call_at(at, std::move(fn));
-  } else {
-    shards_->post_at(s, 0, at, std::move(fn));
-  }
-}
-
-void Network::post_from_fabric(int node, Time at, SmallFn fn) {
-  const int s = node_shard(node);
-  if (shards_ == nullptr || s == 0) {
-    engine_->call_at(at, std::move(fn));
-  } else {
-    shards_->post_at(0, s, at, std::move(fn));
-  }
-}
-
 void Network::enqueue_fabric_op(std::int32_t src, std::uint64_t seq,
                                 OpSlot* slot) {
   pending_ops_.push_back(PendingOp{src, seq, slot});
   if (!flush_scheduled_) {
     flush_scheduled_ = true;
-    // Every op targeting this tick is already in the queue (same-shard ops
-    // were inserted at earlier ticks, cross-shard ops merged at the window
-    // barrier), so a call_at at `now` sequences after all of them and the
-    // flush sees the complete tick.
+    // Every op targeting this tick was inserted at an earlier tick (the
+    // injection edge is at least one tick long), so a call_at at `now`
+    // sequences after all of them and the flush sees the complete tick.
     engine_->call_at(engine_->now(), [this] { flush_fabric_ops(); });
   }
 }
 
 void Network::flush_fabric_ops() {
   flush_scheduled_ = false;
-  // Canonical admission order: (source node, per-node seq). Arrival order
-  // of the ops varies with the shard plan; this order does not, so routing
-  // draws, NIC FIFO order and fair-share splits are shard-count-invariant.
+  // Canonical admission order: (source node, per-node seq), independent of
+  // the order the ops were scheduled in, so routing draws, NIC FIFO order
+  // and fair-share splits depend only on what was sent when.
   std::sort(pending_ops_.begin(), pending_ops_.end(),
             [](const PendingOp& a, const PendingOp& b) {
               if (a.src != b.src) return a.src < b.src;
@@ -483,17 +420,16 @@ void Network::complete(std::uint32_t idx, Time now) {
 
   // The remaining nhops-1 hops plus the per-message cost (the first hop
   // was paid at injection). Cross-node routes have nhops >= 2, so the tail
-  // is at least one hop — lookahead-sound toward the destination's shard.
+  // is at least one hop.
   const Time tail = from_seconds(
       params_.per_message_s +
       static_cast<double>(route.nhops - 1) * params_.topology.hop_latency_s);
-  post_from_fabric(t.dst, now + std::max<Time>(1, tail), std::move(t.deliver));
-  // The egress-done op returns over the injection edge to the source's
-  // shard, where it fires a still-registered trigger and recycles the op
-  // slot (finalize_slot is the sole recycler, so a kill-time purge on the
-  // owning shard can never race a slot reuse).
+  engine_->call_at(now + std::max<Time>(1, tail), std::move(t.deliver));
+  // The egress-done op returns over the injection edge, where it fires a
+  // still-registered trigger and recycles the op slot (finalize_slot is
+  // the sole recycler, so a kill-time purge can never race a slot reuse).
   OpSlot* op = t.op;
-  post_from_fabric(src, now + inject_latency(),
+  engine_->call_at(now + inject_latency(),
                    SmallFn([this, op] { finalize_slot(op); }));
   free_transfer(idx);
 
@@ -557,14 +493,13 @@ void Network::on_timer() {
 void Network::abort_transfers_from(int src_node) {
   GCR_CHECK(src_node >= 0 && src_node < num_nodes());
   if (!routed()) return;
-  // Source-side purge, synchronous on the owning shard: pending slots stop
-  // resolving for the egress protocol and unhook their triggers (a killed
-  // sender's waiters are unwound separately; firing here would wake them).
+  // Source-side purge, synchronous: pending slots stop resolving for the
+  // egress protocol and unhook their triggers (a killed sender's waiters
+  // are unwound separately; firing here would wake them).
   // Slots are NOT recycled — each one's fabric-posted finalize op (egress-
   // done for transfers that beat the abort, release for dropped ones) is
   // still in flight and remains the sole recycler.
-  Lane& lane = lanes_[static_cast<std::size_t>(node_shard(src_node))];
-  for (OpSlot& s : lane.slots) {
+  for (OpSlot& s : slots_) {
     if (s.pending && s.src == src_node) {
       s.pending = false;
       s.egress = nullptr;
@@ -574,20 +509,20 @@ void Network::abort_transfers_from(int src_node) {
   // sends, keyed by the same per-node counter: the flush orders it after
   // every send the node issued before dying — even same-tick ones — and
   // before anything a respawned incarnation issues.
-  const Time now = engine_for(src_node).now();
+  const Time now = engine_->now();
   const std::uint64_t abort_seq =
       node_seq_[static_cast<std::size_t>(src_node)]++;
-  post_to_fabric(src_node, now + inject_latency(),
-                 SmallFn([this, src_node, abort_seq] {
-                   enqueue_fabric_op(src_node, abort_seq, nullptr);
-                 }));
+  engine_->call_at(now + inject_latency(),
+                   SmallFn([this, src_node, abort_seq] {
+                     enqueue_fabric_op(src_node, abort_seq, nullptr);
+                   }));
 }
 
 void Network::drop_transfer(std::uint32_t idx, Time now) {
   Transfer& t = pool_[idx];
   fabric_dropped_ += t.bytes;
   OpSlot* op = t.op;
-  post_from_fabric(t.src, now + inject_latency(),
+  engine_->call_at(now + inject_latency(),
                    SmallFn([this, op] { finalize_slot(op); }));
   free_transfer(idx);
 }

@@ -5,16 +5,12 @@
 // collected send records feed Algorithm 2 (group formation); the full event
 // stream feeds the timeline renderer.
 //
-// Shard residency (DESIGN.md §15.3): observer hooks fire on the shard that
-// owns the rank, so records land in PER-RANK buffers stamped with the
-// rank's own engine clock — no cross-shard writes, no shared append. The
-// merged view is produced on demand in the canonical (time, rank,
-// per-rank append order) order; that order is a pure function of each
-// rank's deterministic execution, so it is identical at every --shards
-// (the merge runs even single-sharded, keeping outputs byte-identical
-// across shard counts). Every downstream consumer (pair aggregation,
-// timeline binning) is order-independent within a tick anyway; the
-// canonical order exists so the raw trace bytes are reproducible too.
+// Records land in PER-RANK buffers; the merged view is produced on demand
+// in the canonical (time, rank, per-rank append order) order, a pure
+// function of each rank's execution. Every downstream consumer (pair
+// aggregation, timeline binning) is order-independent within a tick
+// anyway; the canonical order fixes the raw trace bytes, which the
+// committed goldens depend on.
 #pragma once
 
 #include <algorithm>
@@ -32,10 +28,7 @@ class Tracer : public mpi::Observer {
   /// sufficient for group formation).
   explicit Tracer(bool sends_only = false) : sends_only_(sends_only) {}
 
-  /// Pre-sizes the per-rank buffers. REQUIRED before a sharded run: the
-  /// observer hooks append from their ranks' shards concurrently, which is
-  /// only safe once the outer vector no longer reallocates. Unsharded
-  /// callers may skip it (buffers grow lazily on one thread).
+  /// Pre-sizes the per-rank buffers (optional; they also grow lazily).
   void prepare(int nranks) {
     if (static_cast<std::size_t>(nranks) > per_rank_.size()) {
       per_rank_.resize(static_cast<std::size_t>(nranks));
@@ -63,8 +56,7 @@ class Tracer : public mpi::Observer {
                                     rank.id(), msg.src, msg.tag, msg.bytes});
   }
 
-  /// The merged trace in canonical (time, rank, append) order. Call only
-  /// after the run quiesced (a barrier orders all shard appends before it).
+  /// The merged trace in canonical (time, rank, append) order.
   Trace records() const { return merged(); }
   Trace take() {
     Trace out = merged();
@@ -78,7 +70,7 @@ class Tracer : public mpi::Observer {
  private:
   Trace& buf(const mpi::Rank& rank) {
     const auto id = static_cast<std::size_t>(rank.id());
-    if (id >= per_rank_.size()) per_rank_.resize(id + 1);  // unsharded only
+    if (id >= per_rank_.size()) per_rank_.resize(id + 1);
     return per_rank_[id];
   }
 

@@ -37,13 +37,6 @@ class Cli {
   /// one per hardware thread. Rejects values outside 0..65536.
   int get_jobs();
 
-  /// Declares the standard `--shards` flag (engine shards per simulation;
-  /// sim/shard.hpp) and returns its value. 1 (the default) is the literal
-  /// single-threaded engine. Rejects values outside 1..64. Note --jobs and
-  /// --shards multiply: a campaign runs jobs simulations concurrently, each
-  /// of which runs on shards threads.
-  int get_shards();
-
   /// Declares the standard `--reps` flag (campaign repetitions = seeds
   /// 1..n) and returns its value. Rejects values outside 1..1000000 with a
   /// usage error — Scenario aborts on reps < 1, so catch it at the CLI.

@@ -1,5 +1,5 @@
 // Campaign layer (DESIGN.md §12): scenario expansion, deterministic
-// parallel execution, and watchdog surfacing.
+// parallel execution, and watchdog and vacuous-run surfacing.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -143,6 +143,32 @@ TEST(Campaign, WatchdogRunsAreCountedNotAveraged) {
     EXPECT_EQ(camp.cells[tripped].unfinished_runs, 2);
     EXPECT_EQ(camp.stat(tripped, "exec").count(), 0u);
     EXPECT_EQ(camp.cells[tripped].runs, 2);
+  }
+}
+
+TEST(Campaign, VacuousRunsAreCountedNotAveraged) {
+  exp::Scenario sc = tiny_scenario(/*reps=*/2);
+  // Mode 0's (NORM) commit target lands past the ring's 30 iterations: the
+  // round is issued, every rank finishes first, and no checkpoint commits.
+  auto base_config = sc.config;
+  sc.config = [base_config](const exp::SweepPoint& point) {
+    exp::ExperimentConfig cfg = base_config(point);
+    if (point.get_int("mode") == 0) cfg.protocol_options.commit_margin = 1000;
+    return cfg;
+  };
+  const exp::CampaignResult camp = exp::run_campaign(sc, {2});
+
+  // 2 procs values x 1 vacuous mode x 2 reps; none tripped the watchdog.
+  EXPECT_EQ(camp.vacuous_runs, 4);
+  EXPECT_EQ(camp.unfinished_runs, 0);
+  for (std::size_t procs_i = 0; procs_i < 2; ++procs_i) {
+    const std::size_t vacuous = sc.cell_index({procs_i, 0});
+    const std::size_t ok = sc.cell_index({procs_i, 1});
+    EXPECT_EQ(camp.cells[vacuous].vacuous_runs, 2);
+    EXPECT_EQ(camp.cells[vacuous].runs, 2);
+    EXPECT_EQ(camp.stat(vacuous, "exec").count(), 0u);
+    EXPECT_EQ(camp.cells[ok].vacuous_runs, 0);
+    EXPECT_EQ(camp.stat(ok, "exec").count(), 2u);
   }
 }
 

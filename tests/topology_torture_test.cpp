@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <vector>
 
@@ -202,10 +201,6 @@ ExperimentConfig e2e_config(std::uint64_t seed, sim::TopologyKind kind) {
   cfg.fault_model.kind = sim::FaultModelKind::kExponential;
   cfg.fault_model.mtbf_s = 2.0;
   cfg.max_sim_s = 300.0;
-  // CI's ThreadSanitizer job reruns this suite with GCR_SHARDS=4: the same
-  // runs driven through the windowed multi-thread coordinator
-  // (sim/shard.hpp), whose barrier/mailbox handoffs TSan then vets.
-  if (const char* s = std::getenv("GCR_SHARDS")) cfg.shards = std::atoi(s);
   return cfg;
 }
 

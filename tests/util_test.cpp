@@ -20,37 +20,14 @@ Cli make_cli(std::vector<const char*> argv) {
              const_cast<char**>(argv.data()));
 }
 
-TEST(Cli, ShardsAndJobsParseInRange) {
-  Cli cli = make_cli({"prog", "--shards", "4", "--jobs", "8"});
-  EXPECT_EQ(cli.get_shards(), 4);
+TEST(Cli, JobsParseInRange) {
+  Cli cli = make_cli({"prog", "--jobs", "8"});
   EXPECT_EQ(cli.get_jobs(), 8);
 }
 
-TEST(Cli, ShardsDefaultToSingleEngineAndJobsToAllThreads) {
+TEST(Cli, JobsDefaultToAllThreads) {
   Cli cli = make_cli({"prog"});
-  EXPECT_EQ(cli.get_shards(), 1);
   EXPECT_EQ(cli.get_jobs(), 0);  // 0 = all hardware threads
-}
-
-// Campaigns run jobs simulations concurrently and each simulation spins up
-// `shards` engine threads, so both knobs reject nonsense values loudly —
-// the error text spells out the jobs x shards multiplication.
-TEST(CliDeathTest, RejectsZeroShards) {
-  Cli cli = make_cli({"prog", "--shards=0"});
-  EXPECT_EXIT(cli.get_shards(), testing::ExitedWithCode(2),
-              "--shards must be in 1..64");
-}
-
-TEST(CliDeathTest, RejectsNegativeShards) {
-  Cli cli = make_cli({"prog", "--shards=-2"});
-  EXPECT_EXIT(cli.get_shards(), testing::ExitedWithCode(2),
-              "threads PER simulation");
-}
-
-TEST(CliDeathTest, RejectsOversizedShards) {
-  Cli cli = make_cli({"prog", "--shards=65"});
-  EXPECT_EXIT(cli.get_shards(), testing::ExitedWithCode(2),
-              "jobs x shards");
 }
 
 TEST(CliDeathTest, RejectsNegativeJobs) {
