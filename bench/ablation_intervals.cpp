@@ -84,7 +84,8 @@ int main(int argc, char** argv) {
     cfg.per_group_intervals =
         schedules[static_cast<std::size_t>(point.get_int("schedule"))]
             .intervals;
-    cfg.random_failure_mtbf_s = mtbf;
+    cfg.fault_model =
+        exp::group_fault_schedule(groups, mtbf, cfg.seed, cfg.max_sim_s);
     return cfg;
   };
   sc.collect = [](const exp::SweepPoint&, const exp::ExperimentResult& res,

@@ -24,9 +24,9 @@ cmake -B build -S . -DGCR_BUILD_BENCH=ON && cmake --build build -j && cd build &
 # app's SLO/latency accounting.
 ./churn_test
 ./service_app_test
-# Explicit golden gate (also the goldens ctest): four campaigns must match
+# Explicit golden gate (also the goldens ctest): five campaigns must match
 # the committed goldens byte for byte.
 sh ../scripts/check_goldens.sh \
   bench/fig05_execution_time bench/fig13_scale_vcl \
   bench/fig_scale_extrapolation bench/ablation_storage_tiers \
-  ../tests/golden
+  bench/ablation_intervals ../tests/golden

@@ -1,11 +1,13 @@
 #!/usr/bin/env sh
-# Golden regression gate: four small campaigns must reproduce the committed
+# Golden regression gate: five small campaigns must reproduce the committed
 # outputs in tests/golden/ byte for byte.
 #
-#   fig05 — group protocol, flat fabric, direct local storage
-#   fig13 — VCL vs GP with remote (NFS) checkpoint storage
-#   scale — routed fabrics (fat-tree adaptive, dragonfly), NORM and GP
-#   tiers — burst-buffer/drain storage plus a mid-run group failure
+#   fig05     — group protocol, flat fabric, direct local storage
+#   fig13     — VCL vs GP with remote (NFS) checkpoint storage
+#   scale     — routed fabrics (fat-tree adaptive, dragonfly), NORM and GP
+#   tiers     — burst-buffer/drain storage plus a mid-run group failure
+#   intervals — per-group checkpoint intervals under per-group MTBFs,
+#               injected as a trace fault schedule (exp::group_fault_schedule)
 #
 # The flat cells also pin the default (kFlat) topology to the pre-topology
 # network model: same arithmetic, same engine event sequence. Any change
@@ -15,14 +17,15 @@
 # Registered as the `goldens` ctest target when GCR_BUILD_BENCH=ON.
 #
 # Usage: check_goldens.sh <fig05-binary> <fig13-binary> <scale-binary> \
-#            <tiers-binary> <golden-dir>
+#            <tiers-binary> <intervals-binary> <golden-dir>
 set -eu
 
 fig05=$1
 fig13=$2
 scale=$3
 tiers=$4
-golden=$5
+intervals=$5
+golden=$6
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -32,10 +35,12 @@ trap 'rm -rf "$tmp"' EXIT
 "$scale" --procs 16,32 --topologies fattree,dragonfly --modes NORM,GP \
     --reps 2 --jobs 4 > "$tmp/scale.txt"
 "$tiers" --procs 16 --reps 2 --jobs 4 > "$tmp/tiers.txt"
+"$intervals" --procs 16 --reps 2 --jobs 4 > "$tmp/intervals.txt"
 
 diff -u "$golden/fig05_procs16_32_reps2.txt" "$tmp/fig05.txt"
 diff -u "$golden/fig13_procs16_32_reps2.txt" "$tmp/fig13.txt"
 diff -u "$golden/scale_extrapolation_procs16_32_reps2.txt" "$tmp/scale.txt"
 diff -u "$golden/ablation_tiers_procs16_reps2.txt" "$tmp/tiers.txt"
+diff -u "$golden/ablation_intervals_procs16_reps2.txt" "$tmp/intervals.txt"
 
 echo "goldens: BYTE-IDENTICAL"

@@ -11,8 +11,7 @@
 // stage_image makes the bytes durable at the mode's commit tier,
 // commit_image makes them the restore source, discard_staged throws them
 // away on failure. In StorageMode::kDirect the stage/commit calls reduce to
-// exactly the legacy single-device write (commit is a no-op), which keeps
-// pre-tier campaign outputs bit-identical.
+// one write on the node's device (commit is a no-op).
 #pragma once
 
 #include <cstdint>
@@ -124,18 +123,6 @@ class Checkpointer {
     co_await sim::delay(cluster_->engine(),
                         sim::from_seconds(options_.setup_s));
     co_await device_for(node).write(bytes);
-  }
-
-  /// Appends `bytes` of message-log data to stable storage (Algorithm 1's
-  /// "synchronize message logs" flush before a checkpoint). No setup cost;
-  /// zero bytes complete without suspending.
-  sim::Co<void> flush_log(int node, std::int64_t bytes) {
-    if (bytes <= 0) co_return;
-    if (tiers_) {
-      co_await tiers_->flush_log(node, bytes);
-    } else {
-      co_await device_for(node).write(bytes);
-    }
   }
 
   /// The direct-mode device a given node writes images to.

@@ -308,25 +308,6 @@ sim::Co<void> TierStore::read_body(mpi::RankId rank, int node,
   post_reply(node, seq, kReplyDone);
 }
 
-// ---------------------------------------------------------------- log path
-
-sim::Co<void> TierStore::flush_log(int node, std::int64_t bytes) {
-  if (bytes <= 0) co_return;
-  const std::uint64_t seq = node_seq_[static_cast<std::size_t>(node)]++;
-  post_op(TierOp{TierOp::Kind::kFlushLog, node, /*rank=*/node, seq, 0,
-                 bytes});
-  int result = 0;
-  co_await await_reply(node, seq, &result);
-}
-
-sim::Co<void> TierStore::flush_body(int node, std::int64_t bytes,
-                                    std::uint64_t seq) {
-  // Log appends stream through the burst buffer without occupying image
-  // capacity (they are consumed by the next checkpoint, not restored).
-  co_await cluster_->burst_buffer_for(node).write(bytes);
-  post_reply(node, seq, kReplyDone);
-}
-
 // ---------------------------------------------------------------- dispatch
 
 void TierStore::run_op(TierOp& op) {
@@ -373,10 +354,6 @@ void TierStore::run_op(TierOp& op) {
       }
       break;
     }
-    case TierOp::Kind::kFlushLog:
-      engine().spawn("tflush" + std::to_string(op.node),
-                     flush_body(op.node, op.bytes, op.seq));
-      break;
   }
 }
 

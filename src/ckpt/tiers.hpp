@@ -134,10 +134,6 @@ class TierStore {
   /// committed image exists — callers gate on ImageRegistry::latest.
   sim::Co<void> read_image(int node, mpi::RankId rank, std::int64_t bytes);
 
-  /// Log-flush traffic (Algorithm 1 "synchronize message logs") lands on
-  /// the rank's burst-buffer server.
-  sim::Co<void> flush_log(int node, std::int64_t bytes);
-
  private:
   /// One image's tier residency. `in_local` refers to the staging buffer
   /// of the node the image was written from.
@@ -167,7 +163,6 @@ class TierStore {
       kDiscard,     ///< drop the staged image
       kNodeFailed,  ///< discard + drop node-buffer residency + kill pipelines
       kRead,        ///< pick the restore tier; read shared tiers (replies)
-      kFlushLog,    ///< burst-buffer log append (replies)
     };
     Kind kind;
     std::int32_t node;       ///< subject node (== rank for hosted ranks)
@@ -206,7 +201,6 @@ class TierStore {
                            std::int64_t bytes, std::uint64_t seq);
   sim::Co<void> read_body(mpi::RankId rank, int node, std::int64_t bytes,
                           std::uint64_t seq, bool from_bb);
-  sim::Co<void> flush_body(int node, std::int64_t bytes, std::uint64_t seq);
   void do_commit(mpi::RankId rank);
   void do_discard(mpi::RankId rank);
   void do_node_failed(mpi::RankId rank);

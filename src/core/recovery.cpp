@@ -13,8 +13,9 @@ namespace gcr::core {
 namespace {
 
 /// Stream-id namespace for FaultModel substreams, disjoint from the other
-/// cluster seed consumers (0x6A00+r protocol jitter, 0xFA11+g legacy
-/// failure streams) because it passes through mix_seed a second time.
+/// run-seed consumers (0x6A00+r protocol jitter, 0xFA11+g per-group MTBF
+/// schedules from exp::group_fault_schedule) because it passes through
+/// mix_seed a second time.
 constexpr std::uint64_t kFaultModelStreamBase = 0xFA17A11ULL;
 /// Same construction for ChurnModel substreams; the base differs so a run
 /// arming both models draws from disjoint streams.
@@ -220,46 +221,13 @@ void RecoveryManager::on_restore_done(mpi::RankId rep) {
     ++joins_completed_;
     GCR_INFO("churn: rank %d rejoined at t=%.3fs", rep,
              sim::to_seconds(rt_->engine().now()));
-    if (churn_options_.merge_on_join && planner_ != nullptr) {
+    if (planner_ != nullptr) {
       enqueue_churn_op({ChurnOp::Kind::kMerge, rep, 0});
     }
   } else {
     ++completed_;
   }
   maybe_start_restores();
-}
-
-void RecoveryManager::arm_random_failures(const std::vector<double>& mtbf_s) {
-  GCR_CHECK(static_cast<int>(mtbf_s.size()) ==
-            protocol_->groups().num_groups());
-  failure_rngs_.clear();
-  for (std::size_t g = 0; g < mtbf_s.size(); ++g) {
-    failure_rngs_.push_back(rt_->cluster().make_rng(
-        0xFA11 + static_cast<std::uint64_t>(g)));
-  }
-  for (std::size_t g = 0; g < mtbf_s.size(); ++g) {
-    if (mtbf_s[g] > 0) {
-      // The arrival STREAM stays keyed to the arming-time group index (so
-      // the legacy timeline is bit-identical); the TARGET is pinned to the
-      // representative rank, which stays meaningful across churn installs.
-      schedule_next_random_failure(
-          static_cast<int>(g),
-          protocol_->groups().members(static_cast<int>(g)).front(),
-          mtbf_s[g]);
-    }
-  }
-}
-
-void RecoveryManager::schedule_next_random_failure(int stream, mpi::RankId rep,
-                                                   double mtbf_s) {
-  const double wait =
-      failure_rngs_[static_cast<std::size_t>(stream)].next_exponential(mtbf_s);
-  rt_->engine().call_after(sim::from_seconds(wait),
-                           [this, stream, rep, mtbf_s] {
-    if (rt_->job_finished()) return;
-    fail_group_now(protocol_->groups().group_of(rep));
-    schedule_next_random_failure(stream, rep, mtbf_s);
-  });
 }
 
 void RecoveryManager::arm_fault_model(std::unique_ptr<sim::FaultModel> model) {

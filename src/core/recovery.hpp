@@ -8,10 +8,10 @@
 // procedure (volume exchange + replay). Non-failed groups keep running.
 //
 // Failures are injected either directly (fail_group_at / fail_node_at,
-// whole-app restart via restart_all_at), through the legacy per-group
-// exponential streams (arm_random_failures), or through a pluggable
-// node-level FaultModel (sim/faults.hpp) whose node faults map to the
-// group hosting that node's rank.
+// whole-app restart via restart_all_at) or through a pluggable node-level
+// FaultModel (sim/faults.hpp) whose node faults map to the group hosting
+// that node's rank. Per-group MTBFs (the paper's flaky groups) are a trace
+// schedule built by exp::group_fault_schedule.
 //
 // Concurrent failures are handled with a recovery QUEUE, not rejection:
 // a failure always kills its group immediately (the physical event is never
@@ -39,8 +39,8 @@
 //   join     — a departed node comes back. Its singleton group is restored
 //              through the ordinary restore queue (so joins respect the
 //              restore-slot limit and the deferred-exchange rules), then
-//              optionally merged into the group the RegroupPlanner picks
-//              from observed traffic. Transitional double-logging
+//              merged into the group the RegroupPlanner picks from
+//              observed traffic. Transitional double-logging
 //              (add_transitional_logging) covers the merged pair until
 //              their first joint commit.
 // Regroup operations are serialized through one FIFO so at most one
@@ -80,9 +80,6 @@ struct RecoveryOptions {
 struct ChurnOptions {
   double poll_s = 0.25;   ///< quiescence / commit-poll cadence
   double retry_s = 1.0;   ///< backoff after a fault collides with a regroup
-  /// Merge a rejoined rank into the planner's pick; false = rejoined ranks
-  /// stay singletons (isolation policy).
-  bool merge_on_join = true;
   /// Cap for planner merges. 0 = the largest group size at arming time, so
   /// churn cannot grow groups beyond the configured partition's grain.
   int max_group_size = 0;
@@ -114,13 +111,6 @@ class RecoveryManager {
   /// Schedules a whole-application restart (kill everything, restore from
   /// the stored images) at time `t`.
   void restart_all_at(sim::Time t);
-
-  /// Arms random failures: group g fails with exponential inter-arrival
-  /// times of mean `mtbf_s[g]` (0 or negative = that group never fails),
-  /// drawn from a deterministic per-group substream of the cluster seed.
-  /// Arrivals continue until the job finishes. (Legacy group-level model;
-  /// kept bit-compatible. New work should use arm_fault_model.)
-  void arm_random_failures(const std::vector<double>& mtbf_s);
 
   /// Arms a pluggable node-fault model: events are pulled one at a time
   /// (so infinite renewal models are fine) and injected via the node→group
@@ -218,8 +208,6 @@ class RecoveryManager {
   void restore_ranks(const std::vector<mpi::RankId>& ranks);
   /// Protocol callback: the group's restart preparation completed.
   void on_restore_done(mpi::RankId rep);
-  void schedule_next_random_failure(int stream, mpi::RankId rep,
-                                    double mtbf_s);
   void schedule_next_model_event();
 
   // --- churn driver ---
@@ -275,7 +263,6 @@ class RecoveryManager {
   /// group).
   std::uint64_t restore_tokens_ = 0;
 
-  std::vector<gcr::Rng> failure_rngs_;  ///< legacy per-group arrival streams
   std::unique_ptr<sim::FaultModel> fault_model_;
 
   std::unique_ptr<sim::ChurnModel> churn_model_;

@@ -1,5 +1,6 @@
 #include "exp/experiment.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -8,6 +9,7 @@
 #include "mpi/runtime.hpp"
 #include "trace/tracer.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace gcr::exp {
 namespace {
@@ -92,9 +94,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         runtime, *group_protocol, registry, checkpointer, config.recovery);
     for (const FailurePlan& f : config.failures) {
       recovery->fail_group_at(f.group, sim::from_seconds(f.at_s));
-    }
-    if (!config.random_failure_mtbf_s.empty()) {
-      recovery->arm_random_failures(config.random_failure_mtbf_s);
     }
     if (config.fault_model.kind != sim::FaultModelKind::kNone) {
       recovery->arm_fault_model(sim::make_fault_model(config.fault_model));
@@ -182,6 +181,35 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   result.metrics = std::move(metrics);
   if (config.collect_trace) result.trace = tracer.take();
   return result;
+}
+
+sim::FaultModelParams group_fault_schedule(const group::GroupSet& groups,
+                                           const std::vector<double>& mtbf_s,
+                                           std::uint64_t seed,
+                                           double max_sim_s) {
+  GCR_CHECK(static_cast<int>(mtbf_s.size()) == groups.num_groups());
+  sim::FaultModelParams params;
+  const sim::Time end = sim::from_seconds(max_sim_s);
+  for (std::size_t g = 0; g < mtbf_s.size(); ++g) {
+    if (mtbf_s[g] <= 0) continue;
+    Rng rng(mix_seed(seed, 0xFA11 + static_cast<std::uint64_t>(g)));
+    // One rank per node: the first member's rank id is its node.
+    const int node = groups.members(static_cast<int>(g)).front();
+    sim::Time t = 0;
+    do {
+      t += sim::from_seconds(rng.next_exponential(mtbf_s[g]));
+      params.schedule.push_back({sim::to_seconds(t), node});
+      // The trace model reads times back through from_seconds.
+      GCR_ASSERT(sim::from_seconds(params.schedule.back().at_s) == t);
+    } while (t < end);
+  }
+  if (params.schedule.empty()) return params;
+  std::stable_sort(params.schedule.begin(), params.schedule.end(),
+                   [](const sim::FaultEvent& a, const sim::FaultEvent& b) {
+                     return a.at_s < b.at_s;
+                   });
+  params.kind = sim::FaultModelKind::kTrace;
+  return params;
 }
 
 trace::Trace profile_app(const AppFactory& app, int nranks,

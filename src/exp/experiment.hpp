@@ -30,12 +30,12 @@ enum class ProtocolKind {
 };
 
 /// Checkpoint storage subsystem (DESIGN.md §13). The default — direct mode
-/// with concurrency 1 — is the pre-tier single-slot FIFO device and keeps
-/// historical campaign outputs byte-identical.
+/// with concurrency 1 — is the paper's single-slot FIFO device: one
+/// admitted transfer at a time on the shared fair-share path.
 struct StorageConfig {
   ckpt::StorageMode mode = ckpt::StorageMode::kDirect;
   /// Fair-share width of the DIRECT devices (local disk / NFS server): K
-  /// admitted transfers share the bandwidth, 1 = strict FIFO (legacy).
+  /// admitted transfers share the bandwidth, 1 = strict FIFO.
   int direct_concurrency = 1;
   // --- tier hierarchy (modes kBurstBuffer / kDrain) ---
   int burst_buffers = 1;               ///< shared burst-buffer servers
@@ -100,13 +100,10 @@ struct ExperimentConfig {
 
   // Failure injection (group protocol only).
   std::vector<FailurePlan> failures;
-  // Non-empty: random failures, one MTBF per group (seconds; <=0 = group
-  // never fails), exponential arrivals until the job completes. (Legacy
-  // group-level model; prefer `fault_model`.)
-  std::vector<double> random_failure_mtbf_s;
   // kind != kNone: pluggable node-fault model (sim/faults.hpp) — node
   // faults map to the group hosting that node's rank; concurrent failures
   // queue recoveries (core/recovery.hpp). Composable with `failures`.
+  // Per-group MTBFs become a trace schedule via group_fault_schedule.
   sim::FaultModelParams fault_model;
   core::RecoveryOptions recovery{};
   // kind != kNone: planned churn (sim/churn.hpp) — drains, spot reclaims
@@ -177,6 +174,19 @@ struct ExperimentResult {
 };
 
 ExperimentResult run_experiment(const ExperimentConfig& config);
+
+/// The paper's §6 flaky groups as a kTrace fault schedule: group g fails
+/// with exponential inter-arrival times of mean `mtbf_s[g]` seconds (<= 0:
+/// never), drawn from Rng(mix_seed(seed, 0xFA11 + g)) and accumulated in
+/// integer nanoseconds. Each fault targets the node of the group's first
+/// member. A group's stream ends with its first arrival at or past
+/// `max_sim_s` — the last one a run with that watchdog can reach. Events
+/// are sorted by time; kNone when no group has a positive MTBF. Pass the
+/// run's seed and max_sim_s.
+sim::FaultModelParams group_fault_schedule(const group::GroupSet& groups,
+                                           const std::vector<double>& mtbf_s,
+                                           std::uint64_t seed,
+                                           double max_sim_s);
 
 /// Profiling helper: runs the app once with the tracer linked in (no
 /// checkpoints) and returns the trace — the paper's group-formation input.

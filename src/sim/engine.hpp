@@ -185,14 +185,6 @@ class Engine {
   // --- introspection (tests, stress harnesses) ---
   /// Total waiter slots ever created; stays flat once the pool recycles.
   std::size_t waiter_pool_size() const { return waiter_pool_.size(); }
-  std::size_t event_queue_depth() const {
-    return heap_.size() + due_count_ + wheel_count_;
-  }
-  /// Events currently parked in wheel slots (excludes due ring and the
-  /// overflow heap).
-  std::size_t timer_wheel_depth() const { return wheel_count_; }
-  /// Events in the far-future / behind-cursor overflow heap.
-  std::size_t overflow_heap_depth() const { return heap_.size(); }
 
  private:
   enum EventKind : std::uint64_t {

@@ -11,11 +11,11 @@ namespace gcr::sim {
 Network::Network(Engine& engine, int num_nodes, const NetParams& params,
                  std::uint64_t routing_seed)
     : engine_(&engine), params_(params), num_nodes_(num_nodes),
-      topo_(make_topology(params.topology, num_nodes, params.bandwidth_Bps)),
       routing_rng_(routing_seed),
       egress_free_(static_cast<std::size_t>(num_nodes), 0) {
   GCR_CHECK(params_.topology.nic_concurrency >= 1);
-  if (routed()) {
+  if (params_.topology.kind != TopologyKind::kFlat) {
+    topo_ = make_topology(params_.topology, num_nodes, params_.bandwidth_Bps);
     const auto nlinks = static_cast<std::size_t>(topo_->num_links());
     links_.resize(nlinks);
     for (std::size_t l = 0; l < nlinks; ++l) {
@@ -26,9 +26,6 @@ Network::Network(Engine& engine, int num_nodes, const NetParams& params,
     nodes_.resize(static_cast<std::size_t>(num_nodes));
     recip_ = {0.0, 1.0};  // recip_[a] = 1/a; grown as link occupancy grows
     node_seq_.assign(static_cast<std::size_t>(num_nodes), 0);
-  } else {
-    // Flat still exposes a (zeroed) load view so introspection is uniform.
-    link_active_.assign(static_cast<std::size_t>(topo_->num_links()), 0);
   }
 }
 

@@ -5,8 +5,8 @@
 // owns a full-duplex port, the switch is non-blocking, so the only
 // contention is serialization at the sender's NIC. A message departs when
 // the NIC is free, occupies it for `per_message + bytes/bandwidth`, and
-// arrives `latency` after the occupation ends. This path is bit-identical
-// to the pre-topology implementation: same arithmetic, same engine events.
+// arrives `latency` after the occupation ends. Flat builds no Topology and
+// no link state: the per-node NIC timestamps are its only implementation.
 //
 // Routed topologies (fat-tree, dragonfly — sim/topology.hpp) model every
 // directed physical link as a fair-share contended resource, reusing the
@@ -44,14 +44,16 @@
 // cannot be recalled.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <span>
+#include <memory>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 #include "sim/topology.hpp"
+#include "util/assert.hpp"
 
 namespace gcr::sim {
 
@@ -63,7 +65,7 @@ struct NetParams {
   double per_message_s = 10e-6;    ///< fixed per-message wire/stack cost
   double loopback_Bps = 400e6;     ///< same-node copy bandwidth (P4-era)
   double loopback_latency_s = 2e-6;
-  /// Fabric shape + routing policy; kFlat selects the legacy model above.
+  /// Fabric shape + routing policy; kFlat selects the NIC model above.
   TopologyParams topology;
 };
 
@@ -76,9 +78,14 @@ class Network {
 
   /// Nodes with their own NIC (valid src/dst range for send()).
   int num_nodes() const { return num_nodes_; }
-  /// True when a multi-link topology routes transfers (not kFlat).
-  bool routed() const { return topo_->kind() != TopologyKind::kFlat; }
-  const Topology& topology() const { return *topo_; }
+  /// True when a topology exists, i.e. a multi-link fabric routes
+  /// transfers (any kind but kFlat).
+  bool routed() const { return topo_ != nullptr; }
+  /// The routed fabric's topology. Requires routed().
+  const Topology& topology() const {
+    GCR_CHECK(routed());
+    return *topo_;
+  }
 
   struct SendTimes {
     Time egress_done;  ///< when the sender's buffer is reusable
@@ -137,14 +144,6 @@ class Network {
     return std::max<Time>(1, from_seconds(params_.topology.hop_latency_s));
   }
 
-  /// Pure timing query (no event scheduled, no NIC occupied): the flat
-  /// uncontended transfer time. Under routing this is an estimate.
-  Time transfer_duration(std::int64_t bytes) const {
-    return from_seconds(params_.per_message_s +
-                        static_cast<double>(bytes) / params_.bandwidth_Bps +
-                        params_.latency_s);
-  }
-
   /// Cumulative payload bytes ever passed to send() (monotone).
   std::int64_t total_bytes() const { return total_bytes_; }
   /// Cumulative send() calls (monotone).
@@ -160,11 +159,10 @@ class Network {
   /// Transfers currently fair-sharing links / waiting for NIC admission.
   int active_transfers() const { return active_count_; }
   int queued_transfers() const { return queued_count_; }
-  /// Admitted transfers currently crossing `link`.
+  /// Admitted transfers currently crossing `link` (routed fabrics only).
   std::int32_t link_active(std::int32_t link) const {
     return link_active_[static_cast<std::size_t>(link)];
   }
-  std::span<const std::int32_t> link_load() const { return link_active_; }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
@@ -308,7 +306,7 @@ class Network {
   Engine* engine_;
   NetParams params_;
   int num_nodes_;
-  std::unique_ptr<Topology> topo_;
+  std::unique_ptr<Topology> topo_;  ///< null for flat
   Rng routing_rng_;
   std::vector<Time> egress_free_;  ///< flat path: per-node NIC next-free
 

@@ -33,28 +33,6 @@ int derive_dragonfly_p(int n) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Flat
-
-FlatTopology::FlatTopology(int num_nodes, double bandwidth_Bps)
-    : num_nodes_(num_nodes), bw_(bandwidth_Bps) {
-  GCR_CHECK(num_nodes > 0);
-  GCR_CHECK(bandwidth_Bps > 0);
-}
-
-void FlatTopology::resolve(int src, [[maybe_unused]] int dst,
-                           std::span<const std::int32_t>, Rng&,
-                           Route& out) const {
-  GCR_ASSERT(src != dst);
-  GCR_ASSERT(src >= 0 && src < num_nodes_ && dst >= 0 && dst < num_nodes_);
-  out.nhops = 0;
-  out.push(src);  // the sender's egress link
-}
-
-std::string FlatTopology::describe() const {
-  return "flat(nodes=" + std::to_string(num_nodes_) + ")";
-}
-
-// ---------------------------------------------------------------------------
 // Fat-tree
 
 FatTreeTopology::FatTreeTopology(int num_nodes, int k, FatTreeRouting routing,
@@ -149,14 +127,6 @@ int FatTreeTopology::min_hops(int src, int dst) const {
   return edge_of(src) == edge_of(dst) ? 2 : 4;
 }
 
-std::string FatTreeTopology::describe() const {
-  return "fattree(k=" + std::to_string(k_) +
-         ", hosts=" + std::to_string(hosts_) +
-         ", links=" + std::to_string(num_links()) + ", " +
-         (routing_ == FatTreeRouting::kAdaptive ? "adaptive" : "deterministic") +
-         ")";
-}
-
 // ---------------------------------------------------------------------------
 // Dragonfly
 
@@ -242,14 +212,6 @@ int DragonflyTopology::min_hops(int src, int dst) const {
   return 3 + (rs != gateway ? 1 : 0) + (landing != rd ? 1 : 0);
 }
 
-std::string DragonflyTopology::describe() const {
-  return "dragonfly(a=" + std::to_string(a_) + ", p=" + std::to_string(p_) +
-         ", h=" + std::to_string(h_) + ", groups=" + std::to_string(groups_) +
-         ", hosts=" + std::to_string(hosts_) + ", " +
-         (routing_ == DragonflyRouting::kValiant ? "valiant" : "minimal") +
-         ")";
-}
-
 // ---------------------------------------------------------------------------
 // Factory
 
@@ -266,7 +228,9 @@ std::unique_ptr<Topology> make_topology(const TopologyParams& params,
                                 default_bandwidth_Bps);
   switch (params.kind) {
     case TopologyKind::kFlat:
-      return std::make_unique<FlatTopology>(num_nodes, access);
+      GCR_CHECK_MSG(false, "flat is not a routed topology (sim::Network "
+                           "models it with per-node NIC arithmetic)");
+      return nullptr;
     case TopologyKind::kFatTree: {
       const int k =
           params.fattree_k > 0 ? params.fattree_k : derive_fattree_k(num_nodes);

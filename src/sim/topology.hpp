@@ -3,12 +3,8 @@
 // A Topology maps a (src, dst) node pair to the ordered set of directed
 // physical links the message crosses. The fabric layer (sim/network.hpp)
 // models each link as a fair-share contended resource; the topology only
-// decides *which* links a transfer occupies. Three implementations:
+// decides *which* links a transfer occupies. Two implementations:
 //
-//  - flat:      one egress link per node, the paper's switched-Ethernet
-//               model. The fabric never routes through it (Network keeps
-//               the legacy NIC arithmetic for bit-reproducibility); it
-//               exists so tests and sweeps can treat "flat" uniformly.
 //  - fat-tree:  k-ary Clos (Al-Fares layout): k pods of k/2 edge and k/2
 //               aggregation switches, (k/2)^2 cores, k^3/4 hosts. Up-path
 //               choice is the routing policy: deterministic (dst-hashed,
@@ -18,6 +14,10 @@
 //               group). Minimal routing takes the single direct global
 //               channel; Valiant detours through a random intermediate
 //               group to spread adversarial traffic.
+//
+// Flat (TopologyKind::kFlat, the paper's switched-Ethernet model) is not a
+// Topology: nothing is routed, and Network's per-node NIC arithmetic is its
+// only implementation.
 //
 // Everything is flat arrays indexed by node/link id — no per-node heap
 // objects — so a 64k-host instance costs megabytes, not gigabytes.
@@ -106,35 +106,6 @@ class Topology {
 
   /// Closed-form minimal hop count (conformance oracle for resolve()).
   virtual int min_hops(int src, int dst) const = 0;
-
-  /// Human-readable shape summary for bench tables and logs.
-  virtual std::string describe() const = 0;
-};
-
-/// One egress link per node; resolve() returns that single link. The flat
-/// fabric path in Network bypasses this (legacy NIC arithmetic), so the
-/// class exists for interface uniformity and tests.
-class FlatTopology final : public Topology {
- public:
-  explicit FlatTopology(int num_nodes, double bandwidth_Bps);
-
-  TopologyKind kind() const override { return TopologyKind::kFlat; }
-  int num_nodes() const override { return num_nodes_; }
-  int num_links() const override { return num_nodes_; }
-  double link_bandwidth_Bps(std::int32_t) const override { return bw_; }
-  LinkClass link_class(std::int32_t) const override {
-    return LinkClass::kAccess;
-  }
-  void resolve(int src, int dst, std::span<const std::int32_t> load, Rng& rng,
-               Route& out) const override;
-  int min_hops(int src, int dst) const override {
-    return src == dst ? 0 : 1;
-  }
-  std::string describe() const override;
-
- private:
-  int num_nodes_;
-  double bw_;
 };
 
 class FatTreeTopology final : public Topology {
@@ -150,9 +121,8 @@ class FatTreeTopology final : public Topology {
   LinkClass link_class(std::int32_t link) const override;
   void resolve(int src, int dst, std::span<const std::int32_t> load, Rng& rng,
                Route& out) const override;
-  int min_hops(int src, int dst) const override;
   /// Two hosts under one edge switch: host -> edge -> host.
-  std::string describe() const override;
+  int min_hops(int src, int dst) const override;
 
   int k() const { return k_; }
   int hosts() const { return hosts_; }
@@ -206,9 +176,8 @@ class DragonflyTopology final : public Topology {
   LinkClass link_class(std::int32_t link) const override;
   void resolve(int src, int dst, std::span<const std::int32_t> load, Rng& rng,
                Route& out) const override;
-  int min_hops(int src, int dst) const override;
   /// Two terminals on one router: terminal -> router -> terminal.
-  std::string describe() const override;
+  int min_hops(int src, int dst) const override;
 
   int groups() const { return groups_; }
   int routers_per_group() const { return a_; }
@@ -255,8 +224,9 @@ class DragonflyTopology final : public Topology {
   double global_bw_;
 };
 
-/// Builds the configured topology sized for `num_nodes`; class bandwidths
-/// default to `default_bandwidth_Bps` where the params leave them 0.
+/// Builds the configured routed topology (fat-tree or dragonfly; kFlat is
+/// not routed and aborts) sized for `num_nodes`; class bandwidths default to
+/// `default_bandwidth_Bps` where the params leave them 0.
 std::unique_ptr<Topology> make_topology(const TopologyParams& params,
                                         int num_nodes,
                                         double default_bandwidth_Bps);

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <vector>
 
 #include "apps/simple.hpp"
 #include "core/interval.hpp"
 #include "exp/experiment.hpp"
 #include "group/strategies.hpp"
+#include "util/rng.hpp"
 
 namespace gcr::core {
 namespace {
@@ -117,6 +120,46 @@ TEST(Interval, PerGroupSchedulesFireAtDifferentRates) {
   EXPECT_GT(per_group[2], 0);
 }
 
+TEST(Interval, GroupFaultScheduleHitsOnlyFlakyGroups) {
+  const group::GroupSet groups = group::make_round_robin(8, 4);
+  const std::vector<double> mtbf = {2.0, 0.0, 5.0, -1.0};
+  const double max_sim_s = 60.0;
+  const sim::FaultModelParams p =
+      exp::group_fault_schedule(groups, mtbf, /*seed=*/9, max_sim_s);
+  ASSERT_EQ(p.kind, sim::FaultModelKind::kTrace);
+  ASSERT_FALSE(p.schedule.empty());
+  std::map<int, std::vector<double>> per_node;
+  for (std::size_t i = 0; i < p.schedule.size(); ++i) {
+    if (i > 0) EXPECT_LE(p.schedule[i - 1].at_s, p.schedule[i].at_s);
+    per_node[p.schedule[i].node].push_back(p.schedule[i].at_s);
+  }
+  // Only groups 0 and 2 fail, each at the node of its first member.
+  ASSERT_EQ(per_node.size(), 2u);
+  for (int g : {0, 2}) {
+    const auto& times = per_node[groups.members(g).front()];
+    ASSERT_FALSE(times.empty());
+    // The group's own stream, accumulated in integer nanoseconds.
+    Rng rng(mix_seed(9, 0xFA11 + static_cast<std::uint64_t>(g)));
+    const double m = mtbf[static_cast<std::size_t>(g)];
+    sim::Time t = 0;
+    for (double at : times) {
+      t += sim::from_seconds(rng.next_exponential(m));
+      EXPECT_EQ(sim::from_seconds(at), t);
+    }
+    // The stream ends with its first arrival at or past the watchdog.
+    EXPECT_GE(times.back(), max_sim_s);
+    if (times.size() > 1) EXPECT_LT(times[times.size() - 2], max_sim_s);
+  }
+}
+
+TEST(Interval, GroupFaultScheduleWithoutFlakyGroupsIsNone) {
+  const group::GroupSet groups = group::make_round_robin(6, 3);
+  const sim::FaultModelParams p =
+      exp::group_fault_schedule(groups, {0.0, 0.0, -2.0}, 1, 100.0);
+  EXPECT_EQ(p.kind, sim::FaultModelKind::kNone);
+  EXPECT_TRUE(p.schedule.empty());
+}
+
 TEST(Interval, RandomFailuresAreDeterministicPerSeed) {
   auto run = [](std::uint64_t seed) {
     exp::ExperimentConfig cfg;
@@ -127,7 +170,9 @@ TEST(Interval, RandomFailuresAreDeterministicPerSeed) {
     cfg.checkpoints = true;
     cfg.schedule.first_at_s = 0.1;
     cfg.schedule.interval_s = 0.2;
-    cfg.random_failure_mtbf_s = {1.5, 0.0, 0.0};  // only group 0 is flaky
+    // Only group 0 is flaky.
+    cfg.fault_model = exp::group_fault_schedule(*cfg.groups, {1.5, 0.0, 0.0},
+                                                cfg.seed, cfg.max_sim_s);
     cfg.recovery.detect_s = 0.1;
     cfg.recovery.relaunch_s = 0.1;
     return exp::run_experiment(cfg);
@@ -152,7 +197,8 @@ TEST(Interval, FlakyGroupSurvivesRandomStorm) {
   cfg.checkpoints = true;
   cfg.schedule.first_at_s = 0.1;
   cfg.schedule.interval_s = 0.15;
-  cfg.random_failure_mtbf_s = {1.0, 2.0, 0.0, 0.0};
+  cfg.fault_model = exp::group_fault_schedule(
+      *cfg.groups, {1.0, 2.0, 0.0, 0.0}, cfg.seed, cfg.max_sim_s);
   cfg.recovery.detect_s = 0.1;
   cfg.recovery.relaunch_s = 0.1;
   exp::ExperimentResult res = exp::run_experiment(cfg);

@@ -2,9 +2,10 @@
 //
 // concurrency K admits K transfers that share bandwidth equally, with
 // progress resettled on every arrival/departure; requests beyond K queue
-// FIFO; K=1 is the legacy strict-FIFO device (its exact-formula tests live
-// in sim_network_test.cpp and still pass unchanged). Completion times here
-// are checked against hand-computed piecewise-linear progress.
+// FIFO; K=1 runs the same path with one admitted transfer at a time, a
+// strict-FIFO device (its exact-formula tests live in sim_network_test.cpp).
+// Completion times here are checked against hand-computed piecewise-linear
+// progress.
 #include <gtest/gtest.h>
 
 #include "sim/awaitables.hpp"
@@ -135,6 +136,25 @@ TEST(StorageFairShare, KilledWhileQueuedReleasesNothing) {
   // The killed waiter's admission slot passes to the next in line.
   expect_time_near(d1, 1_s);
   expect_time_near(d3, 2_s);
+}
+
+TEST(StorageFairShare, SingleSlotKillMidTransferAdmitsNextAtOnce) {
+  Engine eng;
+  StorageParams p{/*bandwidth_Bps=*/100e6, /*latency_s=*/0.25,
+                  /*concurrency=*/1};
+  StorageDevice dev(eng, "d", p);
+  Time dB = -1;
+  ProcPtr victim = eng.spawn("A", run_then_die(eng, dev, 100 * kMB));
+  eng.spawn("B", write_at(eng, dev, 0, 100 * kMB, &dB));
+  // A is 0.5 s into its byte stream (after 0.25 s setup) when it dies.
+  eng.call_at(750_ms, [&eng, victim] { eng.kill(*victim); });
+  eng.run();
+  // B is admitted at the kill instant, then pays its own setup and the
+  // full bandwidth: 0.75 s + 0.25 s + 1 s. A's bytes never count.
+  expect_time_near(dB, 2_s);
+  EXPECT_EQ(dev.bytes_written(), 100 * kMB);
+  EXPECT_EQ(dev.active_transfers(), 0);
+  EXPECT_EQ(dev.peak_active_transfers(), 1);
 }
 
 }  // namespace
