@@ -6,30 +6,22 @@
 
 namespace gcr::core {
 
-TrafficMatrix::TrafficMatrix(int nranks) : nranks_(nranks) {
+TrafficMatrix::TrafficMatrix(int nranks)
+    : sent_(static_cast<std::size_t>(nranks)) {
   GCR_CHECK(nranks > 0);
-  counts_.assign(static_cast<std::size_t>(nranks) *
-                     static_cast<std::size_t>(nranks),
-                 0);
 }
 
 void TrafficMatrix::on_send(const mpi::Rank& rank, const mpi::Message& msg,
                             bool transmitted) {
   (void)rank;
   (void)transmitted;
-  if (msg.src < 0 || msg.src >= nranks_ || msg.dst < 0 || msg.dst >= nranks_) {
-    return;
-  }
-  ++counts_[static_cast<std::size_t>(msg.src) *
-                static_cast<std::size_t>(nranks_) +
-            static_cast<std::size_t>(msg.dst)];
-  ++total_;
+  const int n = nranks();
+  if (msg.src < 0 || msg.src >= n || msg.dst < 0 || msg.dst >= n) return;
+  ++sent_[static_cast<std::size_t>(msg.src)].at(msg.dst);
 }
 
 std::uint64_t TrafficMatrix::pair_count(mpi::RankId a, mpi::RankId b) const {
-  const auto n = static_cast<std::size_t>(nranks_);
-  return counts_[static_cast<std::size_t>(a) * n + static_cast<std::size_t>(b)] +
-         counts_[static_cast<std::size_t>(b) * n + static_cast<std::size_t>(a)];
+  return sent_by(a).get(b) + sent_by(b).get(a);
 }
 
 RegroupPlanner::RegroupPlanner(const TrafficMatrix* traffic)
@@ -44,11 +36,10 @@ std::optional<int> RegroupPlanner::choose_merge_target(
   const int from = gs.group_of(rank);
 
   // The rank's transitive communication component under dynamic grouping.
+  // Union order does not matter: the partition is the same either way.
   group::DynamicGrouper dyn(nranks);
   for (int a = 0; a < nranks; ++a) {
-    for (int b = a + 1; b < nranks; ++b) {
-      if (traffic_->pair_count(a, b) > 0) dyn.on_message(a, b);
-    }
+    for (const auto& [b, count] : traffic_->sent_by(a)) dyn.on_message(a, b);
   }
   const group::GroupSet dyn_groups = dyn.current();
   const int component = dyn_groups.group_of(rank);

@@ -19,13 +19,14 @@
 
 #include "group/group.hpp"
 #include "mpi/hooks.hpp"
+#include "mpi/peer_table.hpp"
 
 namespace gcr::core {
 
-/// Passive tap counting app-plane messages per ordered (src, dst) pair.
-/// Suppressed re-sends during replay are counted too: affinity measures who
-/// talks to whom, not what reached the wire. Attach via
-/// Runtime::add_observer.
+/// Passive tap counting app-plane messages per ordered (src, dst) pair,
+/// one peer table per source rank. Suppressed re-sends during replay are
+/// counted too: affinity measures who talks to whom, not what reached the
+/// wire. Attach via Runtime::add_observer.
 class TrafficMatrix : public mpi::Observer {
  public:
   explicit TrafficMatrix(int nranks);
@@ -35,13 +36,14 @@ class TrafficMatrix : public mpi::Observer {
 
   /// Messages observed between a and b, either direction.
   std::uint64_t pair_count(mpi::RankId a, mpi::RankId b) const;
-  std::uint64_t total() const { return total_; }
-  int nranks() const { return nranks_; }
+  /// Messages `src` sent, by destination.
+  const mpi::PeerTable<std::uint64_t>& sent_by(mpi::RankId src) const {
+    return sent_[static_cast<std::size_t>(src)];
+  }
+  int nranks() const { return static_cast<int>(sent_.size()); }
 
  private:
-  int nranks_;
-  std::vector<std::uint64_t> counts_;  ///< [src * nranks + dst]
-  std::uint64_t total_ = 0;
+  std::vector<mpi::PeerTable<std::uint64_t>> sent_;  ///< [src][dst]
 };
 
 /// Decides where a rejoined singleton should live. Deterministic: ties

@@ -1,6 +1,7 @@
 #include "core/group_protocol.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -15,6 +16,9 @@ constexpr std::uint64_t kAnyIteration = ~std::uint64_t{0};
 
 /// Epoch namespace for restart barriers (disjoint from checkpoint epochs).
 constexpr std::uint64_t kRestartEpochBase = std::uint64_t{1} << 40;
+
+/// Bookmark slot not yet filled: no received volume covers it.
+constexpr std::int64_t kNoBookmark = std::numeric_limits<std::int64_t>::max();
 
 }  // namespace
 
@@ -31,9 +35,6 @@ GroupProtocol::GroupProtocol(mpi::Runtime& rt, const group::GroupSet& groups,
   states_.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
     auto st = std::make_unique<RankState>();
-    st->rr.assign(static_cast<std::size_t>(n), 0);
-    st->first_send.assign(static_cast<std::size_t>(n), 0);
-    st->skip_bytes.assign(static_cast<std::size_t>(n), 0);
     st->event = std::make_unique<sim::Trigger>(rt.engine());
     st->jitter_rng = rt.cluster().make_rng(0x6A00 + static_cast<std::uint64_t>(r));
     states_.push_back(std::move(st));
@@ -51,10 +52,6 @@ std::uint64_t GroupProtocol::draw_target_skew(RankState& st,
   // process, so its cut spreads over the full skew window.
   const int window = coordinated ? 1 : options_.target_skew_steps;
   return st.jitter_rng.next_below(static_cast<std::uint64_t>(window) + 1);
-}
-
-std::int64_t GroupProtocol::log_bytes(mpi::RankId rank) const {
-  return states_[static_cast<std::size_t>(rank)]->log.total_bytes();
 }
 
 // ------------------------------------------------------------- send/deliver
@@ -78,8 +75,8 @@ sim::Co<bool> GroupProtocol::before_send(mpi::Rank& rank, mpi::Message& msg) {
     ++metrics_->logged_messages;
     metrics_->logged_bytes += msg.bytes;
   }
-  std::int64_t& skip = st.skip_bytes[static_cast<std::size_t>(msg.dst)];
-  if (skip > 0) {
+  if (PeerState* peer = st.peers.find(msg.dst); peer && peer->skip > 0) {
+    std::int64_t& skip = peer->skip;
     GCR_CHECK_MSG(msg.bytes <= skip,
                   "re-execution send misaligned with skip volume");
     skip -= msg.bytes;
@@ -92,10 +89,14 @@ sim::Co<bool> GroupProtocol::before_send(mpi::Rank& rank, mpi::Message& msg) {
         sim::from_seconds(options_.log_per_msg_s +
                           static_cast<double>(msg.bytes) /
                               options_.log_copy_Bps));
-    // RR piggybacking (log GC) stays keyed on the CURRENT grouping.
-    if (crossing && st.first_send[static_cast<std::size_t>(msg.dst)]) {
-      msg.piggyback_rr = st.rr[static_cast<std::size_t>(msg.dst)];
-      st.first_send[static_cast<std::size_t>(msg.dst)] = 0;
+    // RR piggybacking (log GC) stays keyed on the CURRENT grouping: the
+    // first such send to each peer after a cut carries RR.
+    if (crossing && st.cuts > 0) {
+      PeerState& p = st.peers.at(msg.dst);  // re-found: we suspended
+      if (p.piggybacked_cut != st.cuts) {
+        msg.piggyback_rr = p.rr;
+        p.piggybacked_cut = st.cuts;
+      }
     }
   }
   co_return true;
@@ -106,26 +107,30 @@ void GroupProtocol::on_deliver(mpi::Rank& rank, const mpi::Message& msg) {
   if (msg.piggyback_rr >= 0) {
     st.log.gc(msg.src, msg.piggyback_rr);
   }
-  if (st.bookmark_wait_active) note_bookmark_progress(st, rank, msg.src);
+  if (!st.bookmarks.empty()) {
+    const int slot = member_slot(rank, msg.src);
+    if (slot >= 0) {
+      // Met now but not before this delivery: one fewer member to wait for.
+      const std::int64_t need = st.bookmarks[static_cast<std::size_t>(slot)];
+      const std::int64_t r = rank.peer(msg.src).recvd_bytes;
+      if (r >= need && r - msg.bytes < need) --st.bookmark_unmet;
+    }
+  }
   if (st.in_checkpoint) wake(rank);  // drain predicate may now hold
 }
 
-void GroupProtocol::note_bookmark_progress(RankState& st,
-                                           const mpi::Rank& rank,
-                                           mpi::RankId m) {
-  if (!st.bookmark_wait_active || m == rank.id()) return;
-  const auto it = st.bookmarks.find(m);
-  const bool met =
-      it != st.bookmarks.end() && rank.recvd_from(m).bytes >= it->second;
-  const bool counted = st.bookmark_met.count(m) != 0;
-  if (met && !counted) {
-    st.bookmark_met.insert(m);
-    --st.bookmark_unmet;
-  } else if (!met && counted) {
-    // A late bookmark re-keyed the requirement upward; re-arm the count.
-    st.bookmark_met.erase(m);
-    ++st.bookmark_unmet;
-  }
+void GroupProtocol::set_skip(const mpi::Rank& rank, RankState& st,
+                             mpi::RankId q, std::int64_t peer_r) {
+  const std::int64_t skip =
+      std::max<std::int64_t>(0, peer_r - rank.peer(q).sent_bytes);
+  if (skip > 0 || st.peers.find(q) != nullptr) st.peers.at(q).skip = skip;
+}
+
+int GroupProtocol::member_slot(const mpi::Rank& rank, mpi::RankId m) const {
+  const auto& members = groups_.members(groups_.group_of(rank.id()));
+  const auto it = std::lower_bound(members.begin(), members.end(), m);
+  if (it == members.end() || *it != m) return -1;
+  return static_cast<int>(it - members.begin());
 }
 
 // ------------------------------------------------------------ daemon / ctrl
@@ -152,13 +157,14 @@ void GroupProtocol::reissue_deferred_exchanges(mpi::RankId back) {
     if (p == back) continue;
     mpi::Rank& peer = rt_->rank(p);
     RankState& ps = *states_[static_cast<std::size_t>(p)];
-    if (!peer.alive() || ps.exchange_deferred.count(back) == 0) continue;
+    const std::int64_t* deferred = ps.exchange_deferred.find(back);
+    if (!peer.alive() || deferred == nullptr) continue;
+    const std::int64_t restored_r = *deferred;
     ps.exchange_deferred.erase(back);
-    ps.exchange_pending.insert(back);
+    ps.exchange_pending.at(back) = restored_r;
     mpi::Message req;
     req.ctrl = mpi::CtrlKind::kExchangeRequest;
-    req.ctrl_data = {ps.exchange_r[static_cast<std::size_t>(back)],
-                     peer.sent_to(back).bytes};
+    req.ctrl_data = {restored_r, peer.peer(back).sent_bytes};
     rt_->send_ctrl(p, back, req);
   }
 }
@@ -187,9 +193,6 @@ void GroupProtocol::rank_killed(mpi::Rank& rank) {
   }
   st.commit_pending = false;
   st.in_checkpoint = false;
-  st.bookmark_wait_active = false;  // wait coroutine died with the rank
-  st.bookmark_unmet = 0;
-  st.bookmark_met.clear();
   st.restoring = false;
   st.exchange_pending.clear();
   st.exchange_deferred.clear();
@@ -203,8 +206,9 @@ void GroupProtocol::reroute_pending_exchanges(mpi::RankId dead) {
   for (int p = 0; p < rt_->nranks(); ++p) {
     if (p == dead) continue;
     RankState& ps = *states_[static_cast<std::size_t>(p)];
-    if (ps.exchange_pending.erase(dead) > 0) {
-      ps.exchange_deferred.insert(dead);
+    if (const std::int64_t* pending = ps.exchange_pending.find(dead)) {
+      ps.exchange_deferred.at(dead) = *pending;
+      ps.exchange_pending.erase(dead);
       wake(rt_->rank(p));
     }
   }
@@ -383,10 +387,19 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
     }
 
     case mpi::CtrlKind::kBookmark: {
-      const auto epoch = static_cast<std::uint64_t>(msg.ctrl_data.at(0));
-      (void)epoch;  // one round per group at a time; keyed by source
-      st.bookmarks[msg.src] = msg.ctrl_data.at(1);
-      if (st.bookmark_wait_active) note_bookmark_progress(st, rank, msg.src);
+      // ctrl_data[0] is the epoch: one round per group at a time.
+      const int slot = member_slot(rank, msg.src);
+      if (slot >= 0) {
+        if (st.bookmarks.empty()) {
+          st.bookmarks.assign(members.size(), kNoBookmark);
+        }
+        std::int64_t& need = st.bookmarks[static_cast<std::size_t>(slot)];
+        const std::int64_t r = rank.peer(msg.src).recvd_bytes;
+        // Re-test: a late bookmark can re-key the requirement upward.
+        if (r >= need) ++st.bookmark_unmet;
+        need = msg.ctrl_data.at(1);
+        if (r >= need) --st.bookmark_unmet;
+      }
       wake(rank);
       co_return;
     }
@@ -415,9 +428,7 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
       // skip toward it synchronously — a stale skip from an earlier
       // exchange would suppress sends the rolled-back peer needs again,
       // and the replay below only covers what is already in our log.
-      const std::int64_t peer_r = msg.ctrl_data.at(0);
-      st.skip_bytes[static_cast<std::size_t>(msg.src)] =
-          std::max<std::int64_t>(0, peer_r - rank.sent_to(msg.src).bytes);
+      set_skip(rank, st, msg.src, msg.ctrl_data.at(0));
       // Served in its own coroutine so the daemon keeps answering other
       // peers; the reply is sent AFTER the replay so the peer's
       // restart-preparation time includes the message resend (paper: GP1
@@ -435,10 +446,7 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
     }
 
     case mpi::CtrlKind::kExchangeReply: {
-      const std::int64_t peer_r = msg.ctrl_data.at(0);
-      const std::int64_t my_s = rank.sent_to(msg.src).bytes;
-      st.skip_bytes[static_cast<std::size_t>(msg.src)] =
-          std::max<std::int64_t>(0, peer_r - my_s);
+      set_skip(rank, st, msg.src, msg.ctrl_data.at(0));
       st.exchange_pending.erase(msg.src);
       // A reply that raced the peer's death still completes the exchange:
       // the replay data preceded it on the wire, and the peer's own restart
@@ -545,56 +553,42 @@ sim::Co<void> GroupProtocol::run_group_checkpoint(mpi::Rank& rank) {
   for (mpi::RankId m : members) {
     if (m == rank.id()) continue;
     bookmark.ctrl_data = {static_cast<std::int64_t>(epoch),
-                          rank.sent_to(m).bytes};
+                          rank.peer(m).sent_bytes};
     rt_->send_ctrl(rank.id(), m, bookmark);
   }
   // Seed the incremental drain counter with one scan; from here the
   // kBookmark and delivery hooks keep it exact, so each wake evaluates the
   // predicate in O(1) (the full rescan is quadratic across a round and made
   // NORM — one group of n — untenable at thousands of ranks).
-  st.bookmark_met.clear();
-  st.bookmark_unmet = 0;
-  st.bookmark_wait_active = true;
-  for (mpi::RankId m : members) {
-    if (m == rank.id()) continue;
-    ++st.bookmark_unmet;
-    note_bookmark_progress(st, rank, m);
-  }
-  bool ok = co_await wait_event(rank, epoch, [&] {
-#ifndef NDEBUG
-    bool full = true;
-    for (mpi::RankId m : members) {
-      if (m == rank.id()) continue;
-      auto it = st.bookmarks.find(m);
-      if (it == st.bookmarks.end() ||
-          rank.recvd_from(m).bytes < it->second) {  // missing or in transit
-        full = false;
-        break;
-      }
+  const auto count_unmet = [&] {
+    int unmet = 0;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (members[i] == rank.id()) continue;
+      // Missing, or the bytes before it are still in transit.
+      if (rank.peer(members[i]).recvd_bytes < st.bookmarks[i]) ++unmet;
     }
-    GCR_ASSERT(full == (st.bookmark_unmet == 0));
-#endif
+    return unmet;
+  };
+  if (st.bookmarks.empty()) st.bookmarks.assign(members.size(), kNoBookmark);
+  st.bookmark_unmet = count_unmet();
+  bool ok = co_await wait_event(rank, epoch, [&] {
+    GCR_ASSERT(count_unmet() == st.bookmark_unmet);  // reference rescan
     return st.bookmark_unmet == 0;
   });
-  st.bookmark_wait_active = false;
-  st.bookmark_met.clear();
   if (ok) ok = co_await group_barrier(rank, epoch, 0);
   const sim::Time t_coordinated = eng.now();
 
   if (ok) {
     // ---- checkpoint: record RR, snapshot, dump image ----
-    const int n = rt_->nranks();
-    for (int q = 0; q < n; ++q) {
-      st.rr[static_cast<std::size_t>(q)] = rank.recvd_from(q).bytes;
-      st.first_send[static_cast<std::size_t>(q)] = 1;
-    }
+    for (const auto& [q, t] : rank.peers()) st.peers.at(q).rr = t.recvd_bytes;
+    ++st.cuts;  // every peer's piggyback is pending again
     ckpt::StoredCheckpoint image;
     image.meta.rank = rank.id();
     image.meta.epoch = epoch;
     image.meta.bytes = image_bytes_(rank.id());
     image.meta.written_at = eng.now();
     image.runtime_state = rt_->snapshot_rank(rank);
-    image.protocol_state = StateSnapshot{st.rr, st.first_send, st.log};
+    image.protocol_state = StateSnapshot{st.log};
     // Staged, not yet visible: a failure during the write (or any member's
     // write) discards the stage, so restore never sees a torn image or a
     // group whose members restore from different epochs.
@@ -647,7 +641,7 @@ sim::Co<void> GroupProtocol::run_group_checkpoint(mpi::Rank& rank) {
   // Aborted rounds are counted where the leader's round closes without a
   // checkpoint (kAbort delivery / finish paths), not here.
 
-  st.bookmarks.clear();
+  std::vector<std::int64_t>().swap(st.bookmarks);  // n-wide under NORM
   st.in_checkpoint = false;
   if (is_leader(rank)) st.round_open = false;
 }
@@ -659,18 +653,12 @@ void GroupProtocol::stage_restore(mpi::Rank& rank,
                                   std::uint64_t restore_token) {
   RankState& st = state(rank);
   st.restore_token = restore_token;
-  const int n = rt_->nranks();
   st.log.clear();
-  st.rr.assign(static_cast<std::size_t>(n), 0);
-  st.first_send.assign(static_cast<std::size_t>(n), 0);
-  st.skip_bytes.assign(static_cast<std::size_t>(n), 0);
+  st.peers.clear();
   st.commit_pending = false;
   st.in_checkpoint = false;
   st.round_open = false;
-  st.bookmarks.clear();
-  st.bookmark_wait_active = false;
-  st.bookmark_unmet = 0;
-  st.bookmark_met.clear();
+  std::vector<std::int64_t>().swap(st.bookmarks);
   st.barrier_acks.clear();
   st.barrier_go.clear();
   st.prepare_replies.clear();
@@ -679,23 +667,19 @@ void GroupProtocol::stage_restore(mpi::Rank& rank,
   st.serve_procs.clear();   // killed with the previous incarnation
   st.restore_proc.reset();  // ditto
   st.restoring = true;
-  // Capture the restored R table NOW: it is a contiguous prefix of every
-  // peer stream. Live traffic can slip in between restore and the exchange
-  // request (a survivor may stamp the new incarnation before the exchange),
-  // and the replay bound must not move past the restored prefix — the
-  // runtime's duplicate suppression discards the overlap.
-  st.exchange_r.assign(static_cast<std::size_t>(n), 0);
   st.restore_cut = image != nullptr ? image->meta.cut_seq : 0;
+  // RR is the image's R table, a contiguous prefix of every peer stream.
+  // Live traffic can slip in before the exchange request (a survivor may
+  // stamp the new incarnation first); the replay bound must not pass the
+  // restored prefix (duplicate suppression drops the overlap). The app waits
+  // on the resume gate, so RR still holds it when run_restore asks.
+  st.cuts = image != nullptr ? 1 : 0;
   if (image != nullptr) {
     st.from_image = true;
     st.restore_image_bytes = image->meta.bytes;
-    const auto& snap =
-        std::any_cast<const StateSnapshot&>(image->protocol_state);
-    st.rr = snap.rr;
-    st.first_send = snap.first_send;
-    st.log = snap.log;
-    for (std::size_t q = 0; q < snap.rr.size(); ++q) {
-      st.exchange_r[q] = image->runtime_state.recvd[q].bytes;
+    st.log = std::any_cast<const StateSnapshot&>(image->protocol_state).log;
+    for (const auto& [q, t] : image->runtime_state.peers) {
+      st.peers.at(q).rr = t.recvd_bytes;
     }
   } else {
     st.from_image = false;
@@ -742,13 +726,13 @@ sim::Co<void> GroupProtocol::run_restore(mpi::Rank& rank) {
           (!st.from_image || st.restore_cut == qs.restore_cut);
       if (same_cut) continue;
     }
+    const std::int64_t restored_r = st.peers.get(q).rr;
     if (rt_->rank(q).alive()) {
-      req.ctrl_data = {st.exchange_r[static_cast<std::size_t>(q)],
-                       rank.sent_to(q).bytes};
+      req.ctrl_data = {restored_r, rank.peer(q).sent_bytes};
       rt_->send_ctrl(rank.id(), q, req);
-      st.exchange_pending.insert(q);
+      st.exchange_pending.at(q) = restored_r;
     } else {
-      st.exchange_deferred.insert(q);
+      st.exchange_deferred.at(q) = restored_r;
     }
   }
   const std::uint64_t repoch = kRestartEpochBase + st.restore_token;
@@ -781,7 +765,7 @@ sim::Co<void> GroupProtocol::serve_exchange(mpi::Rank& rank,
   co_await replay_to(rank, msg.src, peer_r_from_me);
   mpi::Message reply;
   reply.ctrl = mpi::CtrlKind::kExchangeReply;
-  reply.ctrl_data = {rank.recvd_from(msg.src).bytes};
+  reply.ctrl_data = {rank.peer(msg.src).recvd_bytes};
   rt_->send_ctrl(rank.id(), msg.src, reply);
 }
 
@@ -835,6 +819,15 @@ bool GroupProtocol::quiescent_for_regroup(
 
 void GroupProtocol::install_groups(group::GroupSet next) {
   GCR_CHECK(next.nranks() == groups_.nranks());
+  // Bookmarks are indexed by member slot. A changed group's members are
+  // quiescent, so theirs are leftovers of an aborted round: drop them.
+  for (int r = 0; r < next.nranks(); ++r) {
+    RankState& st = *states_[static_cast<std::size_t>(r)];
+    if (!st.bookmarks.empty() && groups_.members(groups_.group_of(r)) !=
+                                     next.members(next.group_of(r))) {
+      std::vector<std::int64_t>().swap(st.bookmarks);
+    }
+  }
   retired_groups_.push_back(
       std::make_unique<group::GroupSet>(std::move(groups_)));
   groups_ = std::move(next);
@@ -855,6 +848,9 @@ void GroupProtocol::add_transitional_logging(
 // ------------------------------------------------------------------- driver
 
 void GroupProtocol::request_group_checkpoint(int group) {
+  GCR_CHECK_MSG(group >= 0 && group < groups_.num_groups(),
+                "checkpoint request for a group the current grouping does "
+                "not have");
   mpi::Message req;
   req.ctrl = mpi::CtrlKind::kCkptRequest;
   rt_->send_ctrl_from_driver(leader_of(group), req);

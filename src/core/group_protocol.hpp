@@ -41,6 +41,7 @@
 #include "core/msglog.hpp"
 #include "group/group.hpp"
 #include "mpi/hooks.hpp"
+#include "mpi/peer_table.hpp"
 #include "mpi/runtime.hpp"
 #include "util/rng.hpp"
 
@@ -73,7 +74,6 @@ class GroupProtocol : public mpi::Interposer {
                 GroupProtocolOptions options = {});
 
   const group::GroupSet& groups() const { return groups_; }
-  Metrics& metrics() { return *metrics_; }
 
   // ---- mpi::Interposer ----
   sim::Co<bool> before_send(mpi::Rank& rank, mpi::Message& msg) override;
@@ -109,15 +109,11 @@ class GroupProtocol : public mpi::Interposer {
     restore_done_ = std::move(fn);
   }
 
-  /// Protocol-private per-rank state stored inside checkpoint images.
+  /// Protocol-private per-rank state stored inside checkpoint images. RR is
+  /// the image's runtime R table; every piggyback is pending after a cut.
   struct StateSnapshot {
-    std::vector<std::int64_t> rr;
-    std::vector<std::uint8_t> first_send;
     MessageLog log;
   };
-
-  /// Message-log bytes currently held by a rank (ablation instrumentation).
-  std::int64_t log_bytes(mpi::RankId rank) const;
 
   // ---- elastic regrouping API (DESIGN.md §16; home engine only) ----
   /// Starts a split transition: until install_groups or end_transition,
@@ -129,7 +125,6 @@ class GroupProtocol : public mpi::Interposer {
   void begin_transition(const group::GroupSet& pending);
   /// Abandons the pending transition (drain aborted or forcibly reclaimed).
   void end_transition();
-  bool in_transition() const { return transition_.has_value(); }
 
   /// True when every listed rank can tolerate a grouping change right now:
   /// alive, not inside a checkpoint round (leader round open, commit
@@ -151,12 +146,20 @@ class GroupProtocol : public mpi::Interposer {
                                 const std::vector<mpi::RankId>& b);
 
  private:
+  /// Algorithm 1's per-peer data.
+  struct PeerState {
+    std::int64_t rr = 0;    ///< RR_X: bytes received from the peer at the cut
+    std::int64_t skip = 0;  ///< re-execution sends still to suppress
+    std::uint64_t piggybacked_cut = 0;  ///< the cut whose RR the peer has
+  };
+
   struct RankState {
     // --- Algorithm 1 data ---
-    std::vector<std::int64_t> rr;          ///< RR_X at last checkpoint
-    std::vector<std::uint8_t> first_send;  ///< piggyback-pending flags
+    mpi::PeerTable<PeerState> peers;
+    /// Cuts recorded in this incarnation, counting a restored image; with
+    /// none, no send piggybacks RR.
+    std::uint64_t cuts = 0;
     MessageLog log;
-    std::vector<std::int64_t> skip_bytes;  ///< suppression during re-execution
     /// Peers whose traffic stays logged although they are (now) in-group:
     /// set at a merge install, cleared at the group's first joint commit.
     /// Deliberately NOT reset by stage_restore — the need persists until a
@@ -170,16 +173,16 @@ class GroupProtocol : public mpi::Interposer {
     sim::Time signal_at = 0;        ///< prepare (or request) arrival
     bool in_checkpoint = false;
     std::set<std::uint64_t> aborted;  ///< epochs abandoned mid-round
-    std::map<mpi::RankId, std::int64_t> bookmarks;    ///< member S towards me
-    /// Incremental drain-predicate state: while a bookmark wait is active,
-    /// `bookmark_unmet` counts members whose bookmark is missing or not yet
-    /// covered by received bytes, and `bookmark_met` records who was counted
-    /// as satisfied. Maintained by the kBookmark and delivery hooks so each
-    /// wake evaluates the predicate in O(1) instead of rescanning the group
-    /// (O(n) members x O(n) wakes made NORM untenable at 4k ranks).
-    bool bookmark_wait_active = false;
+    /// This round's bookmarks by member slot (a slot is the member's
+    /// lower_bound position in the sorted members): its S towards me, or
+    /// kNoBookmark until its kBookmark arrives. Allocated by the round's
+    /// first bookmark or drain start, freed when the rank's round ends.
+    std::vector<std::int64_t> bookmarks;
+    /// Members whose bookmark is missing or not yet covered by received
+    /// bytes: seeded when the drain starts, kept exact by the kBookmark and
+    /// delivery hooks, so a wake tests the predicate in O(1) (a rescan per
+    /// wake, O(n) x O(n), made NORM untenable at 4k ranks).
     int bookmark_unmet = 0;
-    std::set<mpi::RankId> bookmark_met;
     std::map<std::uint64_t, int> barrier_acks;        ///< leader: (key)->count
     std::set<std::uint64_t> barrier_go;               ///< member: keys passed
     std::unique_ptr<sim::Trigger> event;  ///< generic state-change wakeup
@@ -194,16 +197,17 @@ class GroupProtocol : public mpi::Interposer {
     bool from_image = false;
     std::uint64_t restore_cut = 0;    ///< cut_seq of the restored image (0 = scratch)
     std::uint64_t restore_token = 0;  ///< keys this restore's barrier epoch
-    std::vector<std::int64_t> exchange_r;  ///< restored R prefix per peer
     std::int64_t restore_image_bytes = 0;
     /// Out-of-group peers with an exchange request in flight (alive when
-    /// asked). A peer that dies mid-exchange moves to `exchange_deferred`.
-    std::set<mpi::RankId> exchange_pending;
+    /// asked), each mapped to our restored R prefix from it. A peer that
+    /// dies mid-exchange moves to `exchange_deferred`.
+    mpi::PeerTable<std::int64_t> exchange_pending;
     /// Out-of-group peers that were dead when we restarted (overlapping
-    /// recoveries): the request is re-sent when the peer respawns and the
-    /// exchange completes on the daemon path; restart preparation does not
-    /// wait for them (deadlock freedom across queued recoveries).
-    std::set<mpi::RankId> exchange_deferred;
+    /// recoveries) -> the same prefix, kept as a later commit moves RR: the
+    /// request is re-sent when the peer respawns and completes on the
+    /// daemon path; restart preparation does not wait for them (deadlock
+    /// freedom across queued recoveries).
+    mpi::PeerTable<std::int64_t> exchange_deferred;
     /// Auxiliary coroutines acting for this incarnation; killed with the
     /// rank so they never outlive it into a rolled-back state.
     sim::ProcPtr restore_proc;
@@ -224,7 +228,6 @@ class GroupProtocol : public mpi::Interposer {
 
   sim::Co<void> daemon_loop(mpi::Rank& rank);
   sim::Co<void> handle_ctrl(mpi::Rank& rank, mpi::Message msg);
-  sim::Co<void> run_prepare_round(mpi::Rank& leader);
   sim::Co<void> run_group_checkpoint(mpi::Rank& rank);
   sim::Co<void> run_restore(mpi::Rank& rank);
   sim::Co<void> serve_exchange(mpi::Rank& rank, mpi::Message msg);
@@ -236,10 +239,13 @@ class GroupProtocol : public mpi::Interposer {
   sim::Co<bool> wait_event(mpi::Rank& rank, std::uint64_t epoch,
                            const std::function<bool()>& pred);
   void wake(mpi::Rank& rank);
-  /// Reconciles member `m`'s entry in the incremental drain counter with the
-  /// current bookmark/received state. No-op unless a wait is active.
-  void note_bookmark_progress(RankState& st, const mpi::Rank& rank,
-                              mpi::RankId m);
+  /// Slot of `m` among the members of `rank`'s group, or -1 if `m` is not
+  /// a member.
+  int member_slot(const mpi::Rank& rank, mpi::RankId m) const;
+  /// Re-bases the re-execution skip toward `q`, which recorded receiving
+  /// `peer_r` bytes from `rank`. Only a positive skip takes a table entry.
+  static void set_skip(const mpi::Rank& rank, RankState& st, mpi::RankId q,
+                       std::int64_t peer_r);
   std::uint64_t draw_target_skew(RankState& st, bool coordinated);
   /// Re-issues the volume-exchange request of every rank that had deferred
   /// its exchange with `back`.

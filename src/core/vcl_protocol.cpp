@@ -19,7 +19,6 @@ VclProtocol::VclProtocol(mpi::Runtime& rt, ckpt::Checkpointer& checkpointer,
     st->jitter_rng = rt.cluster().make_rng(0x7C00 + static_cast<std::uint64_t>(r));
     states_.push_back(std::move(st));
   }
-  latest_uploaded_.assign(static_cast<std::size_t>(n), 0);
   commit_event_ = std::make_unique<sim::Trigger>(rt.engine());
 }
 
@@ -39,8 +38,7 @@ void VclProtocol::on_deliver(mpi::Rank& rank, const mpi::Message& msg) {
   // whose marker for this round has not yet been seen belong to the
   // channel state.
   if (st.in_checkpoint) {
-    auto it = st.marker_round.find(msg.src);
-    if (it == st.marker_round.end() || it->second < st.epoch) {
+    if (st.marker_round.get(msg.src) < st.epoch) {
       st.recorded_bytes += msg.bytes;
       recorded_total_ += msg.bytes;
     }
@@ -69,7 +67,7 @@ sim::Co<void> VclProtocol::daemon_loop(mpi::Rank& rank) {
       case mpi::CtrlKind::kVclMarker: {
         const auto round = static_cast<std::uint64_t>(msg.ctrl_data.at(0));
         if (msg.ctrl == mpi::CtrlKind::kVclMarker) {
-          auto& latest = st.marker_round[msg.src];
+          auto& latest = st.marker_round.at(msg.src);
           if (round > latest) latest = round;
           st.event->fire();
         }
@@ -135,8 +133,7 @@ sim::Co<void> VclProtocol::run_checkpoint(mpi::Rank& rank) {
     int count = 0;
     for (int q = 0; q < rt_->nranks(); ++q) {
       if (q == rank.id()) continue;
-      auto it = st.marker_round.find(q);
-      if (it != st.marker_round.end() && it->second >= st.epoch) ++count;
+      if (st.marker_round.get(q) >= st.epoch) ++count;
     }
     return count;
   };
@@ -153,11 +150,11 @@ sim::Co<void> VclProtocol::run_checkpoint(mpi::Rank& rank) {
   // Global commit: the snapshot is only usable once EVERY rank's piece is
   // on the servers; sends stay blocked until then (paper Figure 2's windows
   // span the whole round).
-  latest_uploaded_[static_cast<std::size_t>(rank.id())] = st.epoch;
+  st.uploaded_epoch = st.epoch;
   commit_event_->fire();
   auto all_uploaded = [this, &st] {
-    for (std::uint64_t r : latest_uploaded_) {
-      if (r < st.epoch) return false;
+    for (const auto& peer : states_) {
+      if (peer->uploaded_epoch < st.epoch) return false;
     }
     return true;
   };

@@ -22,14 +22,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "ckpt/checkpointer.hpp"
 #include "core/group_protocol.hpp"  // ImageSizeFn
 #include "core/metrics.hpp"
 #include "mpi/hooks.hpp"
+#include "mpi/peer_table.hpp"
 #include "mpi/runtime.hpp"
 
 namespace gcr::core {
@@ -63,7 +62,11 @@ class VclProtocol : public mpi::Interposer {
     bool send_blocked = false;
     std::uint64_t epoch = 0;          ///< round currently/last executed
     std::uint64_t pending_round = 0;  ///< deferred round (arrived mid-ckpt)
-    std::map<mpi::RankId, std::uint64_t> marker_round;  ///< peer -> latest
+    mpi::PeerTable<std::uint64_t> marker_round;  ///< peer -> latest round
+    /// Latest round whose piece is stored. A Chandy-Lamport snapshot is only
+    /// usable once every rank's piece is stored, so rounds end at global
+    /// commit.
+    std::uint64_t uploaded_epoch = 0;
     std::int64_t recorded_bytes = 0;
     sim::Time signal_at = 0;
     std::unique_ptr<sim::Trigger> gate;   ///< released when sends unblock
@@ -86,10 +89,7 @@ class VclProtocol : public mpi::Interposer {
   std::vector<std::unique_ptr<RankState>> states_;
   std::int64_t recorded_total_ = 0;
   std::uint64_t round_ = 0;
-  // Global-commit bookkeeping: a Chandy-Lamport snapshot is only usable
-  // once every rank's piece is stored, so rounds end at global commit.
-  std::vector<std::uint64_t> latest_uploaded_;
-  std::unique_ptr<sim::Trigger> commit_event_;
+  std::unique_ptr<sim::Trigger> commit_event_;  ///< a rank's piece stored
 };
 
 }  // namespace gcr::core

@@ -1,10 +1,11 @@
 // Per-rank runtime state.
 //
 // A Rank owns everything the MiniMPI layer knows about one MPI process:
-// volume counters (the paper's R_X / S_X tables), the delivered-but-
-// unconsumed message queue (snapshotted into checkpoint images, like the
-// in-kernel socket buffers BLCR captures), the single outstanding blocking
-// receive, the control-plane channel served by the protocol daemon, and
+// volume counters (the paper's R_X / S_X tables, one PeerTable entry per
+// peer actually communicated with), the delivered-but-unconsumed message
+// queue (snapshotted into checkpoint images, like the in-kernel socket
+// buffers BLCR captures), the single outstanding blocking receive, the
+// control-plane channel served by the protocol daemon, and
 // incarnation/lifecycle flags used across failures and restarts.
 #pragma once
 
@@ -12,46 +13,44 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "mpi/message.hpp"
+#include "mpi/peer_table.hpp"
 #include "sim/awaitables.hpp"
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
 
 namespace gcr::mpi {
 
-/// One direction of traffic bookkeeping towards one peer.
-struct PeerVolume {
-  std::int64_t bytes = 0;   ///< cumulative app-plane bytes
-  std::uint64_t count = 0;  ///< app-plane message count (== last seq)
+/// Traffic bookkeeping towards one peer: the paper's S_X and R_X entries
+/// plus the cursor that keeps consumption in per-pair send order.
+struct PeerTraffic {
+  std::int64_t sent_bytes = 0;   ///< S: cumulative app-plane bytes sent
+  std::uint64_t sent_count = 0;  ///< app-plane messages sent (== last seq)
+  std::int64_t recvd_bytes = 0;  ///< R: cumulative app-plane bytes delivered
+  std::uint64_t consumed = 0;    ///< last seq the app consumed
 };
 
 /// The runtime-visible state captured by a checkpoint (the modeled
 /// equivalent of a BLCR process image, minus the app's own memory which is
 /// represented by the app's iteration counter and memory-size model).
 struct RankSnapshot {
-  std::uint64_t iteration = 0;          ///< app progress at the safe point
-  std::vector<PeerVolume> sent;         ///< S_X table
-  std::vector<PeerVolume> recvd;        ///< R_X table
-  std::vector<std::uint64_t> consumed;  ///< per-src consumed seq (verification)
-  std::deque<Message> pending;          ///< delivered, unconsumed messages
+  std::uint64_t iteration = 0;   ///< app progress at the safe point
+  PeerTable<PeerTraffic> peers;  ///< S/R tables and consumed seqs
+  std::deque<Message> pending;   ///< delivered, unconsumed messages
 };
 
 class Rank {
  public:
-  Rank(sim::Engine& engine, RankId id, int node, int nranks)
+  Rank(sim::Engine& engine, RankId id, int node)
       : engine_(&engine), id_(id), node_(node), ctrl_in_(engine),
-        resume_gate_(engine), sent_(static_cast<std::size_t>(nranks)),
-        recvd_(static_cast<std::size_t>(nranks)),
-        consumed_(static_cast<std::size_t>(nranks), 0) {}
+        resume_gate_(engine) {}
 
   RankId id() const { return id_; }
   int node() const { return node_; }
   /// The engine this rank's coroutines and channels are bound to.
   /// Observers use it to stamp trace records.
   sim::Engine& engine() const { return *engine_; }
-  int nranks() const { return static_cast<int>(sent_.size()); }
 
   std::uint32_t incarnation() const { return incarnation_; }
   bool alive() const { return alive_; }
@@ -59,17 +58,14 @@ class Rank {
 
   /// App progress marker; updated at each safe point, restored on restart.
   std::uint64_t iteration() const { return iteration_; }
-  void set_iteration(std::uint64_t it) { iteration_ = it; }
 
   /// Where the app must resume from (0 on a fresh start).
   std::uint64_t start_iteration() const { return start_iteration_; }
 
-  const PeerVolume& sent_to(RankId peer) const {
-    return sent_[static_cast<std::size_t>(peer)];
-  }
-  const PeerVolume& recvd_from(RankId peer) const {
-    return recvd_[static_cast<std::size_t>(peer)];
-  }
+  /// Traffic with peer `q` (zero for a peer never communicated with).
+  const PeerTraffic& peer(RankId q) const { return peers_.get(q); }
+  /// Every peer this incarnation (or its restored image) communicated with.
+  const PeerTable<PeerTraffic>& peers() const { return peers_; }
 
   /// Control-plane delivery queue, served by the protocol daemon.
   sim::Channel<Message>& ctrl_in() { return ctrl_in_; }
@@ -95,10 +91,7 @@ class Rank {
   sim::Channel<Message> ctrl_in_;
   sim::Trigger resume_gate_;
 
-  // Volume tables, dense by peer rank.
-  std::vector<PeerVolume> sent_;
-  std::vector<PeerVolume> recvd_;
-  std::vector<std::uint64_t> consumed_;
+  PeerTable<PeerTraffic> peers_;
 
   // Delivered app messages not yet consumed by the app.
   std::deque<Message> pending_;

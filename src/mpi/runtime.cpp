@@ -1,6 +1,5 @@
 #include "mpi/runtime.hpp"
 
-#include <ostream>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -45,7 +44,7 @@ void check_tag(const Message& msg, int tag) {
 // ---------------------------------------------------------------- AppHandle
 
 RankId AppHandle::id() const { return rank_->id(); }
-int AppHandle::nranks() const { return rank_->nranks(); }
+int AppHandle::nranks() const { return rt_->nranks(); }
 std::uint64_t AppHandle::start_iteration() const {
   return rank_->start_iteration();
 }
@@ -96,9 +95,8 @@ Runtime::Runtime(sim::Cluster& cluster, int nranks, RuntimeOptions options)
   ranks_.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     ranks_.push_back(
-        std::make_unique<Rank>(cluster.engine(), r, /*node=*/r, nranks));
+        std::make_unique<Rank>(cluster.engine(), r, /*node=*/r));
   }
-  job_done_ = std::make_unique<sim::Trigger>(cluster.engine());
 }
 
 void Runtime::start_app(AppBody body) {
@@ -128,7 +126,6 @@ void Runtime::note_app_finished(Rank& rank) {
   rank.finished_ = true;
   ++finished_ranks_;
   if (protocol_) protocol_->rank_finished(rank);
-  if (finished_ranks_ == nranks()) job_done_->fire();
 }
 
 void Runtime::spawn_app_coroutine(Rank& rank) {
@@ -139,11 +136,11 @@ void Runtime::spawn_app_coroutine(Rank& rank) {
 // ------------------------------------------------------------------- p2p
 
 void Runtime::stamp_outgoing(Rank& rank, Message& msg) {
-  auto& sv = rank.sent_[static_cast<std::size_t>(msg.dst)];
-  sv.bytes += msg.bytes;
-  sv.count += 1;
-  msg.seq = sv.count;
-  msg.cum_bytes = sv.bytes;
+  PeerTraffic& sv = rank.peers_.at(msg.dst);
+  sv.sent_bytes += msg.bytes;
+  sv.sent_count += 1;
+  msg.seq = sv.sent_count;
+  msg.cum_bytes = sv.sent_bytes;
   msg.checksum = message_checksum(msg.src, msg.dst, msg.seq);
   ++app_messages_sent_;
   app_bytes_sent_ += msg.bytes;
@@ -246,8 +243,7 @@ sim::Co<Message> Runtime::recv(Rank& rank, RankId src, int tag) {
 }
 
 sim::Co<Message> Runtime::wait_match(Rank& rank, RankId src, int tag) {
-  const std::uint64_t consumed =
-      rank.consumed_[static_cast<std::size_t>(src)];
+  const std::uint64_t consumed = rank.peer(src).consumed;
   for (auto it = rank.pending_.begin(); it != rank.pending_.end(); ++it) {
     if (is_next_in_sequence(*it, src, consumed)) {
       check_tag(*it, tag);
@@ -284,9 +280,7 @@ sim::Co<Message> Runtime::wait_match(Rank& rank, RankId src, int tag) {
 }
 
 void Runtime::verify_consume(Rank& rank, const Message& msg) {
-  auto& consumed = rank.consumed_[static_cast<std::size_t>(msg.src)];
-  ++consumed;
-  if (!options_.verify_delivery) return;
+  const std::uint64_t consumed = ++rank.peers_.at(msg.src).consumed;
   GCR_CHECK_MSG(msg.seq == consumed,
                 "per-pair delivery order violated (lost/dup/reordered)");
   GCR_CHECK_MSG(msg.checksum == message_checksum(msg.src, msg.dst, msg.seq),
@@ -309,19 +303,17 @@ void Runtime::deliver(Message msg) {
   // Exactly-once delivery across restarts: a live message that raced a
   // restart's volume exchange is also covered by the sender-log replay;
   // keep whichever copy arrives first, drop the other (no R update).
-  if (is_duplicate(dst, msg)) return;
-  auto& rv = dst.recvd_[static_cast<std::size_t>(msg.src)];
-  rv.bytes += msg.bytes;
-  rv.count += 1;
+  PeerTraffic& from = dst.peers_.at(msg.src);
+  if (is_duplicate(dst, from, msg)) return;
+  from.recvd_bytes += msg.bytes;
   for (Observer* obs : observers_) obs->on_deliver(dst, msg);
   if (protocol_) protocol_->on_deliver(dst, msg);
   match_or_buffer(dst, std::move(msg));
 }
 
-bool Runtime::is_duplicate(const Rank& rank, const Message& msg) const {
-  if (msg.seq <= rank.consumed_[static_cast<std::size_t>(msg.src)]) {
-    return true;
-  }
+bool Runtime::is_duplicate(const Rank& rank, const PeerTraffic& from,
+                           const Message& msg) const {
+  if (msg.seq <= from.consumed) return true;
   for (const Message& p : rank.pending_) {
     if (p.src == msg.src && p.seq == msg.seq) return true;
   }
@@ -333,7 +325,7 @@ void Runtime::match_or_buffer(Rank& rank, Message msg) {
   if (rank.waiting_ && eng.waiter_live(rank.waiting_->waiter) &&
       is_next_in_sequence(
           msg, rank.waiting_->src,
-          rank.consumed_[static_cast<std::size_t>(rank.waiting_->src)])) {
+          rank.peer(rank.waiting_->src).consumed)) {
     check_tag(msg, rank.waiting_->tag);
     auto waiting = *rank.waiting_;
     rank.waiting_.reset();
@@ -486,9 +478,7 @@ sim::Network::SendTimes Runtime::replay_send(Rank& sender,
 RankSnapshot Runtime::snapshot_rank(const Rank& rank) const {
   RankSnapshot snap;
   snap.iteration = rank.iteration_;
-  snap.sent = rank.sent_;
-  snap.recvd = rank.recvd_;
-  snap.consumed = rank.consumed_;
+  snap.peers = rank.peers_;
   snap.pending = rank.pending_;
   return snap;
 }
@@ -516,9 +506,7 @@ void Runtime::begin_restart(Rank& rank) {
   rank.waiting_.reset();
   rank.ctrl_in_.clear();
   rank.resume_gate_.reset();
-  for (auto& v : rank.sent_) v = PeerVolume{};
-  for (auto& v : rank.recvd_) v = PeerVolume{};
-  for (auto& c : rank.consumed_) c = 0;
+  rank.peers_.clear();
   rank.iteration_ = 0;
   rank.start_iteration_ = 0;
   if (rank.finished_) {
@@ -531,9 +519,7 @@ void Runtime::restore_rank(Rank& rank, const RankSnapshot& snap) {
   GCR_CHECK(!rank.alive_);
   rank.iteration_ = snap.iteration;
   rank.start_iteration_ = snap.iteration;
-  rank.sent_ = snap.sent;
-  rank.recvd_ = snap.recvd;
-  rank.consumed_ = snap.consumed;
+  rank.peers_ = snap.peers;
   rank.pending_ = snap.pending;
 }
 
@@ -546,36 +532,6 @@ void Runtime::respawn_rank(Rank& rank) {
 
 void Runtime::set_daemon_proc(Rank& rank, sim::ProcPtr proc) {
   rank.daemon_proc_ = std::move(proc);
-}
-
-void Runtime::debug_dump(std::ostream& os) const {
-  for (const auto& rank : ranks_) {
-    os << "rank " << rank->id() << ": alive=" << rank->alive_
-       << " finished=" << rank->finished_ << " inc=" << rank->incarnation_
-       << " iter=" << rank->iteration_ << " pending=" << rank->pending_.size();
-    if (rank->waiting_) {
-      os << " BLOCKED-RECV(src=" << rank->waiting_->src
-         << " tag=" << rank->waiting_->tag << " consumed="
-         << rank->consumed_[static_cast<std::size_t>(rank->waiting_->src)]
-         << ")";
-    }
-    os << " gate_open=" << rank->resume_gate_.fired() << '\n';
-    if (!rank->pending_.empty()) {
-      os << "  pending:";
-      for (const Message& m : rank->pending_) {
-        os << " (src=" << m.src << " seq=" << m.seq << " tag=" << m.tag
-           << (m.is_replay ? " R" : "") << ")";
-      }
-      os << '\n';
-    }
-  }
-}
-
-void Runtime::clear_finished(Rank& rank) {
-  if (rank.finished_) {
-    rank.finished_ = false;
-    --finished_ranks_;
-  }
 }
 
 }  // namespace gcr::mpi

@@ -24,7 +24,6 @@ namespace gcr::mpi {
 struct RuntimeOptions {
   double cpu_send_overhead_s = 20e-6;  ///< per-send stack/syscall CPU cost
   double cpu_recv_overhead_s = 15e-6;  ///< per-recv matching/copy CPU cost
-  bool verify_delivery = true;  ///< assert seq/checksum invariants on consume
 };
 
 class Runtime;
@@ -78,13 +77,11 @@ class Runtime {
   sim::Engine& engine() { return cluster_->engine(); }
   int nranks() const { return static_cast<int>(ranks_.size()); }
   Rank& rank(RankId id) { return *ranks_[static_cast<std::size_t>(id)]; }
-  const RuntimeOptions& options() const { return options_; }
 
   /// Node index reserved for the checkpoint driver (mpirun).
   int driver_node() const { return nranks(); }
 
   void set_protocol(Interposer* protocol) { protocol_ = protocol; }
-  Interposer* protocol() const { return protocol_; }
   void add_observer(Observer* obs) { observers_.push_back(obs); }
 
   /// Installs the application and spawns all ranks (fresh start).
@@ -92,7 +89,6 @@ class Runtime {
 
   /// True once every rank's app body returned normally.
   bool job_finished() const { return finished_ranks_ == nranks(); }
-  sim::Trigger& job_done() { return *job_done_; }
 
   // ---- p2p / compute (called via AppHandle) ----
   sim::Co<void> send(Rank& rank, RankId dst, int tag, std::int64_t bytes);
@@ -129,10 +125,6 @@ class Runtime {
   /// kill-safe (the registration is cleared on unwind).
   sim::Co<void> await_egress(std::uint64_t ticket);
 
-  /// True when the cluster routes transfers over a multi-link topology —
-  /// callers then pace sends via await_egress instead of egress timestamps.
-  bool routed_network() { return cluster_->network().routed(); }
-
   // ---- lifecycle (used by protocols / recovery orchestration) ----
   /// Captures the runtime-visible state of a rank (at a safe point).
   RankSnapshot snapshot_rank(const Rank& rank) const;
@@ -156,17 +148,9 @@ class Runtime {
   /// Registers the daemon coroutine handle so kill_rank can reach it.
   void set_daemon_proc(Rank& rank, sim::ProcPtr proc);
 
-  /// Lets a protocol mark a finished rank as running again (used only by
-  /// whole-application restart experiments).
-  void clear_finished(Rank& rank);
-
   /// Internal: invoked by the app wrapper coroutine.
   sim::Co<void> run_app_body(Rank& rank);
   void note_app_finished(Rank& rank);
-
-  /// Diagnostic dump of every rank's communication state (blocked receives,
-  /// queue depths, counters) — for debugging stuck simulations.
-  void debug_dump(std::ostream& os) const;
 
   /// Total app-plane bytes/messages ever sent (for reports).
   std::int64_t app_bytes_sent() const { return app_bytes_sent_; }
@@ -176,9 +160,11 @@ class Runtime {
   friend class AppHandle;
 
   void deliver(Message msg);
-  bool is_duplicate(const Rank& rank, const Message& msg) const;
+  bool is_duplicate(const Rank& rank, const PeerTraffic& from,
+                    const Message& msg) const;
   void match_or_buffer(Rank& rank, Message msg);
   sim::Co<Message> wait_match(Rank& rank, RankId src, int tag);
+  /// Advances the pair's consumed seq; checks order and checksum.
   void verify_consume(Rank& rank, const Message& msg);
   void spawn_app_coroutine(Rank& rank);
   /// Assigns seq/cum_bytes/checksum and bumps the sender's S table.
@@ -193,7 +179,6 @@ class Runtime {
   std::vector<std::unique_ptr<Rank>> ranks_;
   AppBody app_body_;
   int finished_ranks_ = 0;
-  std::unique_ptr<sim::Trigger> job_done_;
   std::int64_t app_bytes_sent_ = 0;
   std::int64_t app_messages_sent_ = 0;
 };

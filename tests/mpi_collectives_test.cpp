@@ -98,9 +98,9 @@ TEST(Collectives, GatherPayloadGrowsTowardsRoot) {
   cluster.engine().run();
   ASSERT_TRUE(rt.job_finished());
   // Root receives all 7000 bytes from subtrees; intermediate hops add more.
-  EXPECT_EQ(rt.rank(0).recvd_from(4).bytes +
-                rt.rank(0).recvd_from(2).bytes +
-                rt.rank(0).recvd_from(1).bytes,
+  EXPECT_EQ(rt.rank(0).peer(4).recvd_bytes +
+                rt.rank(0).peer(2).recvd_bytes +
+                rt.rank(0).peer(1).recvd_bytes,
             7000);
 }
 

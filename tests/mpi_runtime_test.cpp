@@ -48,9 +48,10 @@ TEST(Runtime, PingPongVolumesAndSeqs) {
   });
   f.cluster.engine().run();
   ASSERT_TRUE(f.rt.job_finished());
-  EXPECT_EQ(f.rt.rank(0).sent_to(1).bytes, 1000);
-  EXPECT_EQ(f.rt.rank(0).recvd_from(1).bytes, 2000);
-  EXPECT_EQ(f.rt.rank(1).sent_to(0).count, 1u);
+  EXPECT_EQ(f.rt.rank(0).peer(1).sent_bytes, 1000);
+  EXPECT_EQ(f.rt.rank(0).peer(1).recvd_bytes, 2000);
+  EXPECT_EQ(f.rt.rank(1).peer(0).sent_count, 1u);
+  EXPECT_EQ(f.rt.rank(0).peers().size(), 1u);  // only the peer it talked to
   EXPECT_EQ(f.rt.app_messages_sent(), 2);
   EXPECT_EQ(f.rt.app_bytes_sent(), 3000);
 }
@@ -153,8 +154,9 @@ TEST(Runtime, SnapshotCapturesCountersAndPending) {
     co_await h.safepoint(1);
   });
   f.cluster.engine().run();
-  EXPECT_EQ(snap.recvd[0].bytes, 300);   // both delivered
-  EXPECT_EQ(snap.consumed[0], 1u);       // one consumed
+  ASSERT_EQ(snap.peers.size(), 1u);
+  EXPECT_EQ(snap.peers.get(0).recvd_bytes, 300);  // both delivered
+  EXPECT_EQ(snap.peers.get(0).consumed, 1u);      // one consumed
   ASSERT_EQ(snap.pending.size(), 1u);
   EXPECT_EQ(snap.pending.front().bytes, 200);
 }
@@ -193,7 +195,7 @@ TEST(Runtime, StaleIncarnationTrafficDropped) {
     f.rt.rank(1).resume_gate().fire();
   });
   f.cluster.engine().run();
-  EXPECT_EQ(f.rt.rank(1).recvd_from(0).bytes, 0);
+  EXPECT_EQ(f.rt.rank(1).peer(0).recvd_bytes, 0);
   EXPECT_EQ(f.rt.rank(1).pending_count(), 0u);
 }
 
@@ -212,7 +214,8 @@ TEST(Runtime, BeginRestartResetsState) {
   const std::uint32_t inc_before = r1.incarnation();
   f.rt.begin_restart(r1);
   EXPECT_EQ(r1.incarnation(), inc_before + 1);
-  EXPECT_EQ(r1.recvd_from(0).bytes, 0);
+  EXPECT_EQ(r1.peer(0).recvd_bytes, 0);
+  EXPECT_TRUE(r1.peers().empty());
   EXPECT_FALSE(r1.finished());
   EXPECT_EQ(r1.iteration(), 0u);
 }
@@ -221,12 +224,10 @@ TEST(Runtime, RestoreRankReinstallsSnapshot) {
   Fixture f(2);
   RankSnapshot snap;
   snap.iteration = 7;
-  snap.sent.resize(2);
-  snap.recvd.resize(2);
-  snap.consumed.resize(2);
-  snap.sent[0].bytes = 123;
-  snap.recvd[0].bytes = 45;
-  snap.consumed[0] = 2;
+  snap.peers.at(0) = PeerTraffic{.sent_bytes = 123,
+                                 .sent_count = 1,
+                                 .recvd_bytes = 45,
+                                 .consumed = 2};
   Message pend;
   pend.src = 0;
   pend.dst = 1;
@@ -243,9 +244,46 @@ TEST(Runtime, RestoreRankReinstallsSnapshot) {
   f.rt.begin_restart(r1);
   f.rt.restore_rank(r1, snap);
   EXPECT_EQ(r1.start_iteration(), 7u);
-  EXPECT_EQ(r1.sent_to(0).bytes, 123);
-  EXPECT_EQ(r1.recvd_from(0).bytes, 45);
+  EXPECT_EQ(r1.peer(0).sent_bytes, 123);
+  EXPECT_EQ(r1.peer(0).recvd_bytes, 45);
+  EXPECT_EQ(r1.peer(0).consumed, 2u);
   EXPECT_EQ(r1.pending_count(), 1u);
+}
+
+TEST(Runtime, RestoreReadsPeersAbsentFromSnapshotAsZero) {
+  // Rank 1 talks to ranks 0 and 2; the snapshot it is restored from only
+  // knows rank 0, so after the restore rank 2 must read as all zero.
+  Fixture f(3);
+  f.rt.start_app([](AppHandle h) -> sim::Co<void> {
+    co_await h.safepoint(0);
+    if (h.id() != 1) co_await h.send(1, 1, 100);
+    if (h.id() == 1) {
+      (void)co_await h.recv(0, 1);
+      (void)co_await h.recv(2, 1);
+      co_await h.send(2, 1, 50);
+    }
+    if (h.id() == 2) (void)co_await h.recv(1, 1);
+    co_await h.safepoint(1);
+  });
+  f.cluster.engine().run();
+  Rank& r1 = f.rt.rank(1);
+  ASSERT_EQ(r1.peers().size(), 2u);
+  ASSERT_EQ(r1.peer(2).sent_bytes, 50);
+
+  RankSnapshot snap;
+  snap.iteration = 3;
+  snap.peers.at(0).recvd_bytes = 100;
+  snap.peers.at(0).consumed = 1;
+  f.rt.kill_rank(r1);
+  f.cluster.engine().run();
+  f.rt.begin_restart(r1);
+  f.rt.restore_rank(r1, snap);
+  EXPECT_EQ(r1.peers().size(), 1u);
+  EXPECT_EQ(r1.peer(0).recvd_bytes, 100);
+  EXPECT_EQ(r1.peer(2).sent_bytes, 0);
+  EXPECT_EQ(r1.peer(2).sent_count, 0u);
+  EXPECT_EQ(r1.peer(2).recvd_bytes, 0);
+  EXPECT_EQ(r1.peer(2).consumed, 0u);
 }
 
 TEST(RuntimeDeathTest, TwoOutstandingRecvsForbidden) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "apps/simple.hpp"
+#include "ckpt/checkpointer.hpp"
+#include "core/group_protocol.hpp"
 #include "exp/experiment.hpp"
 #include "group/strategies.hpp"
+#include "mpi/runtime.hpp"
+#include "sim/cluster.hpp"
 
 namespace gcr::exp {
 namespace {
@@ -27,6 +31,25 @@ ExperimentConfig base_config(int nranks, int ngroups) {
   cfg.schedule.first_at_s = 0.1;
   cfg.jitter = false;
   return cfg;
+}
+
+TEST(GroupCkptDeathTest, RequestForMissingGroupAborts) {
+  // A checkpoint timer can outlive the group it was armed for (a churn
+  // merge removes groups): the request must abort loudly instead of
+  // reading past the grouping.
+  sim::ClusterParams cp;
+  cp.num_nodes = 5;
+  cp.jitter.enabled = false;
+  sim::Cluster cluster(cp);
+  mpi::Runtime rt(cluster, 4);
+  ckpt::Checkpointer checkpointer(cluster);
+  ckpt::ImageRegistry registry;
+  core::Metrics metrics;
+  core::GroupProtocol protocol(
+      rt, group::make_blocks(4, 2), checkpointer, registry,
+      [](mpi::RankId) { return std::int64_t{1}; }, metrics);
+  EXPECT_DEATH(protocol.request_group_checkpoint(2), "grouping does not have");
+  EXPECT_DEATH(protocol.request_group_checkpoint(-1), "grouping does not have");
 }
 
 TEST(GroupCkpt, OnlyInterGroupMessagesLogged) {
