@@ -152,9 +152,37 @@ void GroupProtocol::rank_started(mpi::Rank& rank) {
   reissue_deferred_exchanges(rank.id());
 }
 
+void GroupProtocol::index_exchange(mpi::RankId p, mpi::RankId q) {
+  auto& waiters = states_[static_cast<std::size_t>(q)]->exchange_waiters;
+  const auto it = std::lower_bound(waiters.begin(), waiters.end(), p);
+  if (it == waiters.end() || *it != p) waiters.insert(it, p);
+}
+
+void GroupProtocol::unindex_exchange(mpi::RankId p, mpi::RankId q) {
+  auto& waiters = states_[static_cast<std::size_t>(q)]->exchange_waiters;
+  const auto it = std::lower_bound(waiters.begin(), waiters.end(), p);
+  if (it != waiters.end() && *it == p) waiters.erase(it);
+}
+
+void GroupProtocol::drop_exchange(mpi::RankId p, mpi::RankId q) {
+  RankState& ps = *states_[static_cast<std::size_t>(p)];
+  ps.exchange_pending.erase(q);
+  ps.exchange_deferred.erase(q);
+  unindex_exchange(p, q);
+}
+
+void GroupProtocol::drop_exchanges(mpi::RankId p) {
+  RankState& ps = *states_[static_cast<std::size_t>(p)];
+  for (const auto& [q, r] : ps.exchange_pending) unindex_exchange(p, q);
+  for (const auto& [q, r] : ps.exchange_deferred) unindex_exchange(p, q);
+  ps.exchange_pending.clear();
+  ps.exchange_deferred.clear();
+}
+
 void GroupProtocol::reissue_deferred_exchanges(mpi::RankId back) {
-  for (int p = 0; p < rt_->nranks(); ++p) {
-    if (p == back) continue;
+  // Moving an exchange from deferred to pending keeps `p` in the index.
+  const RankState& bs = *states_[static_cast<std::size_t>(back)];
+  for (const mpi::RankId p : bs.exchange_waiters) {
     mpi::Rank& peer = rt_->rank(p);
     RankState& ps = *states_[static_cast<std::size_t>(p)];
     const std::int64_t* deferred = ps.exchange_deferred.find(back);
@@ -194,8 +222,7 @@ void GroupProtocol::rank_killed(mpi::Rank& rank) {
   st.commit_pending = false;
   st.in_checkpoint = false;
   st.restoring = false;
-  st.exchange_pending.clear();
-  st.exchange_deferred.clear();
+  drop_exchanges(rank.id());
   // Peers mid-restart waiting on our exchange reply must not wait forever:
   // re-route their exchange to the deferred path (re-issued when we
   // respawn) and wake them so their restart preparation can complete.
@@ -203,8 +230,9 @@ void GroupProtocol::rank_killed(mpi::Rank& rank) {
 }
 
 void GroupProtocol::reroute_pending_exchanges(mpi::RankId dead) {
-  for (int p = 0; p < rt_->nranks(); ++p) {
-    if (p == dead) continue;
+  // Moving an exchange from pending to deferred keeps `p` in the index.
+  const RankState& ds = *states_[static_cast<std::size_t>(dead)];
+  for (const mpi::RankId p : ds.exchange_waiters) {
     RankState& ps = *states_[static_cast<std::size_t>(p)];
     if (const std::int64_t* pending = ps.exchange_pending.find(dead)) {
       ps.exchange_deferred.at(dead) = *pending;
@@ -447,11 +475,11 @@ sim::Co<void> GroupProtocol::handle_ctrl(mpi::Rank& rank, mpi::Message msg) {
 
     case mpi::CtrlKind::kExchangeReply: {
       set_skip(rank, st, msg.src, msg.ctrl_data.at(0));
-      st.exchange_pending.erase(msg.src);
-      // A reply that raced the peer's death still completes the exchange:
-      // the replay data preceded it on the wire, and the peer's own restart
-      // will re-run the pair's exchange from its side.
-      st.exchange_deferred.erase(msg.src);
+      // Pending, or deferred: a reply that raced the peer's death still
+      // completes the exchange — the replay data preceded it on the wire,
+      // and the peer's own restart will re-run the pair's exchange from its
+      // side.
+      drop_exchange(rank.id(), msg.src);
       wake(rank);
       co_return;
     }
@@ -662,8 +690,7 @@ void GroupProtocol::stage_restore(mpi::Rank& rank,
   st.barrier_acks.clear();
   st.barrier_go.clear();
   st.prepare_replies.clear();
-  st.exchange_pending.clear();
-  st.exchange_deferred.clear();
+  drop_exchanges(rank.id());
   st.serve_procs.clear();   // killed with the previous incarnation
   st.restore_proc.reset();  // ditto
   st.restoring = true;
@@ -734,6 +761,7 @@ sim::Co<void> GroupProtocol::run_restore(mpi::Rank& rank) {
     } else {
       st.exchange_deferred.at(q) = restored_r;
     }
+    index_exchange(rank.id(), q);
   }
   const std::uint64_t repoch = kRestartEpochBase + st.restore_token;
   co_await wait_event(rank, repoch,

@@ -208,6 +208,11 @@ class GroupProtocol : public mpi::Interposer {
     /// daemon path; restart preparation does not wait for them (deadlock
     /// freedom across queued recoveries).
     mpi::PeerTable<std::int64_t> exchange_deferred;
+    /// The reverse index of both tables: every rank that holds this rank
+    /// in its exchange_pending or exchange_deferred, ascending, so a kill
+    /// or a respawn visits exactly those ranks, in the order a scan of all
+    /// n would, instead of scanning all n.
+    std::vector<mpi::RankId> exchange_waiters;
     /// Auxiliary coroutines acting for this incarnation; killed with the
     /// rank so they never outlive it into a rolled-back state.
     sim::ProcPtr restore_proc;
@@ -247,6 +252,15 @@ class GroupProtocol : public mpi::Interposer {
   static void set_skip(const mpi::Rank& rank, RankState& st, mpi::RankId q,
                        std::int64_t peer_r);
   std::uint64_t draw_target_skew(RankState& st, bool coordinated);
+  /// Records an exchange of `p` with `q` (pending or deferred) in q's
+  /// exchange_waiters.
+  void index_exchange(mpi::RankId p, mpi::RankId q);
+  /// Removes `p` from q's exchange_waiters.
+  void unindex_exchange(mpi::RankId p, mpi::RankId q);
+  /// Drops p's pending or deferred exchange with `q`, if any.
+  void drop_exchange(mpi::RankId p, mpi::RankId q);
+  /// Drops every pending and deferred exchange of `p`.
+  void drop_exchanges(mpi::RankId p);
   /// Re-issues the volume-exchange request of every rank that had deferred
   /// its exchange with `back`.
   void reissue_deferred_exchanges(mpi::RankId back);

@@ -7,11 +7,17 @@
 // value (Algorithm 1's garbage-collection hint). A deterministic checksum
 // lets tests verify that replay reproduces the failure-free delivery
 // sequence exactly.
+//
+// A Message is a flat value: the control payload is stored inline (at most
+// two int64 fields, which every CtrlKind fits), so building, copying and
+// queueing a message never touches the heap (DESIGN.md §2.3).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <initializer_list>
 
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace gcr::mpi {
@@ -43,6 +49,31 @@ enum class CtrlKind : std::uint8_t {
   kVclMarker,   ///< rank -> rank: marker on the channel
 };
 
+/// Kind-specific control fields, stored inline. Written as `{a, b}`; more
+/// than kMaxFields fields is a checked abort. The field count sets the wire
+/// size (Runtime::send_ctrl charges 8 bytes per field).
+class CtrlPayload {
+ public:
+  static constexpr std::size_t kMaxFields = 2;
+
+  CtrlPayload() = default;
+  CtrlPayload(std::initializer_list<std::int64_t> fields) {
+    GCR_CHECK_MSG(fields.size() <= kMaxFields,
+                  "control payload has more than two fields");
+    for (const std::int64_t v : fields) fields_[size_++] = v;
+  }
+
+  std::size_t size() const { return size_; }
+  std::int64_t at(std::size_t i) const {
+    GCR_CHECK_MSG(i < size_, "control payload field out of range");
+    return fields_[i];
+  }
+
+ private:
+  std::int64_t fields_[kMaxFields] = {};
+  std::uint8_t size_ = 0;
+};
+
 struct Message {
   RankId src = kExternalSource;
   RankId dst = 0;
@@ -62,7 +93,7 @@ struct Message {
 
   // --- control plane ---
   CtrlKind ctrl = CtrlKind::kNone;
-  std::vector<std::int64_t> ctrl_data;  ///< kind-specific payload
+  CtrlPayload ctrl_data;  ///< kind-specific payload
 
   bool is_ctrl() const { return ctrl != CtrlKind::kNone; }
 };

@@ -10,15 +10,16 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "mpi/message.hpp"
 #include "mpi/peer_table.hpp"
 #include "sim/awaitables.hpp"
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
+#include "sim/ring.hpp"
 
 namespace gcr::mpi {
 
@@ -37,7 +38,7 @@ struct PeerTraffic {
 struct RankSnapshot {
   std::uint64_t iteration = 0;   ///< app progress at the safe point
   PeerTable<PeerTraffic> peers;  ///< S/R tables and consumed seqs
-  std::deque<Message> pending;   ///< delivered, unconsumed messages
+  std::vector<Message> pending;  ///< delivered, unconsumed messages
 };
 
 class Rank {
@@ -93,8 +94,8 @@ class Rank {
 
   PeerTable<PeerTraffic> peers_;
 
-  // Delivered app messages not yet consumed by the app.
-  std::deque<Message> pending_;
+  // Delivered app messages not yet consumed by the app, in arrival order.
+  sim::Ring<Message> pending_;
 
   // The single outstanding blocking receive (the app coroutine is
   // sequential, so there is at most one).

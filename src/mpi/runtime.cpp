@@ -4,6 +4,7 @@
 
 #include "util/assert.hpp"
 #include "util/log.hpp"
+#include "util/recycle.hpp"
 
 namespace gcr::mpi {
 
@@ -38,6 +39,16 @@ void check_tag(const Message& msg, int tag) {
                 "recv tag does not match the next in-sequence message; the "
                 "application consumes out of per-pair send order");
 }
+
+/// A message on the wire, owned by its delivery closure. The box is a
+/// recycled block, so the closure's capture is two pointers (inline in
+/// SmallFn), and freeing the box touches nothing but the recycler: a
+/// closure still queued in the engine when its Runtime is destroyed must
+/// be destroyable.
+struct WireBox : recycle::Recycled {
+  explicit WireBox(const Message& m) : msg(m) {}
+  Message msg;
+};
 
 }  // namespace
 
@@ -151,10 +162,9 @@ sim::Network::SendTimes Runtime::transmit(const Message& msg) {
                            ? driver_node()
                            : ranks_[static_cast<std::size_t>(msg.src)]->node();
   const int dst_node = ranks_[static_cast<std::size_t>(msg.dst)]->node();
-  Message copy = msg;
   return cluster_->network().send(
       src_node, dst_node, msg.bytes + kWireHeaderBytes,
-      [this, m = std::move(copy)]() mutable { deliver(std::move(m)); });
+      [this, box = std::make_unique<WireBox>(msg)] { deliver(box->msg); });
 }
 
 sim::Co<void> Runtime::await_egress(std::uint64_t ticket) {
@@ -244,11 +254,11 @@ sim::Co<Message> Runtime::recv(Rank& rank, RankId src, int tag) {
 
 sim::Co<Message> Runtime::wait_match(Rank& rank, RankId src, int tag) {
   const std::uint64_t consumed = rank.peer(src).consumed;
-  for (auto it = rank.pending_.begin(); it != rank.pending_.end(); ++it) {
-    if (is_next_in_sequence(*it, src, consumed)) {
-      check_tag(*it, tag);
-      Message msg = std::move(*it);
-      rank.pending_.erase(it);
+  for (std::size_t i = 0; i < rank.pending_.size(); ++i) {
+    if (is_next_in_sequence(rank.pending_[i], src, consumed)) {
+      check_tag(rank.pending_[i], tag);
+      Message msg = rank.pending_[i];
+      rank.pending_.erase(i);
       co_return msg;
     }
   }
@@ -314,7 +324,8 @@ void Runtime::deliver(Message msg) {
 bool Runtime::is_duplicate(const Rank& rank, const PeerTraffic& from,
                            const Message& msg) const {
   if (msg.seq <= from.consumed) return true;
-  for (const Message& p : rank.pending_) {
+  for (std::size_t i = 0; i < rank.pending_.size(); ++i) {
+    const Message& p = rank.pending_[i];
     if (p.src == msg.src && p.seq == msg.seq) return true;
   }
   return false;
@@ -479,7 +490,10 @@ RankSnapshot Runtime::snapshot_rank(const Rank& rank) const {
   RankSnapshot snap;
   snap.iteration = rank.iteration_;
   snap.peers = rank.peers_;
-  snap.pending = rank.pending_;
+  snap.pending.reserve(rank.pending_.size());
+  for (std::size_t i = 0; i < rank.pending_.size(); ++i) {
+    snap.pending.push_back(rank.pending_[i]);
+  }
   return snap;
 }
 
@@ -520,7 +534,8 @@ void Runtime::restore_rank(Rank& rank, const RankSnapshot& snap) {
   rank.iteration_ = snap.iteration;
   rank.start_iteration_ = snap.iteration;
   rank.peers_ = snap.peers;
-  rank.pending_ = snap.pending;
+  rank.pending_.clear();
+  for (const Message& m : snap.pending) rank.pending_.push_back(m);
 }
 
 void Runtime::respawn_rank(Rank& rank) {

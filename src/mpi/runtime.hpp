@@ -6,6 +6,12 @@
 // Apps are coroutines `Co<void> body(AppHandle)`; every MPI call is a
 // co_await. One rank maps to one cluster node (paper setup); the last
 // cluster node is reserved for the checkpoint driver ("mpirun").
+//
+// The steady-state message path is allocation-free (DESIGN.md §2.3): call
+// frames are recycled Co frames, control payloads are inline, and a message
+// in flight lives in a recycled box owned by its delivery closure. That
+// closure may outlive the Runtime in the engine's queue, so it must only
+// dereference the Runtime when it runs, never when it is destroyed.
 #pragma once
 
 #include <cstdint>

@@ -6,14 +6,15 @@
 // leaves a stale handle (claimed or generation-bumped) that later pushes
 // skip over via Engine::waiter_live.
 //
-// A channel binds one Engine; producer and consumer share it.
+// A channel binds one Engine; producer and consumer share it. Values and
+// waiters queue in Rings, so a channel in steady use does not allocate.
 #pragma once
 
 #include <coroutine>
-#include <deque>
 #include <utility>
 
 #include "sim/engine.hpp"
+#include "sim/ring.hpp"
 #include "util/assert.hpp"
 
 namespace gcr::sim {
@@ -33,8 +34,7 @@ class Channel {
   /// Never blocks (the channel is unbounded).
   void push(T value) {
     while (!waiters_.empty()) {
-      Entry e = std::move(waiters_.front());
-      waiters_.pop_front();
+      const Entry e = waiters_.pop_front();
       // A killed waiter's slot was recycled (generation bump); skip it.
       if (!engine_->waiter_live(e.waiter)) continue;
       *e.slot = std::move(value);
@@ -49,9 +49,6 @@ class Channel {
   /// Removes all queued values (used when a rank is torn down).
   void clear() { items_.clear(); }
 
-  /// Snapshot access for checkpointing the queue contents.
-  const std::deque<T>& items() const { return items_; }
-
   /// co_await channel.pop() -> T. Suspends until a value is available;
   /// FIFO among waiters. A waiter killed while suspended unwinds with
   /// ProcessKilled and its stale queue entry is skipped by later pushes.
@@ -64,8 +61,7 @@ class Channel {
 
       bool await_ready() {
         if (!channel->items_.empty() && channel->waiters_.empty()) {
-          value = std::move(channel->items_.front());
-          channel->items_.pop_front();
+          value = channel->items_.pop_front();
           immediate = true;
           return true;
         }
@@ -90,8 +86,8 @@ class Channel {
   };
 
   Engine* engine_;
-  std::deque<T> items_;
-  std::deque<Entry> waiters_;
+  Ring<T> items_;
+  Ring<Entry> waiters_;
 };
 
 }  // namespace gcr::sim

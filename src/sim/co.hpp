@@ -11,6 +11,10 @@
 //    by the engine when a killed process resumes and unwinds the whole chain.
 //  * A coroutine chain is pinned to the Engine it was spawned on;
 //    resumption always comes from that engine's dispatch loop.
+//  * Frames come from the thread-local recycler (util/recycle.hpp): every
+//    simulated MPI call is a Co, so a message costs several frames, and a
+//    warm run reuses parked ones instead of calling the heap allocator
+//    (DESIGN.md §2.3).
 #pragma once
 
 #include <coroutine>
@@ -18,6 +22,7 @@
 #include <utility>
 
 #include "util/assert.hpp"
+#include "util/recycle.hpp"
 
 namespace gcr::sim {
 
@@ -42,7 +47,7 @@ struct FinalAwaiter {
   void await_resume() noexcept {}
 };
 
-struct CoPromiseBase {
+struct CoPromiseBase : recycle::Recycled {
   std::coroutine_handle<> continuation = nullptr;
   std::exception_ptr error;
 

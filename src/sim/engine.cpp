@@ -6,6 +6,7 @@
 
 #include "util/assert.hpp"
 #include "util/log.hpp"
+#include "util/recycle.hpp"
 
 namespace gcr::sim {
 namespace {
@@ -13,8 +14,9 @@ namespace {
 /// Eagerly-destroyed top-level coroutine that drives one process body.
 /// initial_suspend is suspend_always (the engine schedules the first resume);
 /// final_suspend is suspend_never so the frame frees itself on completion.
+/// Its frame comes from the recycler, like every Co frame.
 struct RootTask {
-  struct promise_type {
+  struct promise_type : recycle::Recycled {
     RootTask get_return_object() {
       return {std::coroutine_handle<promise_type>::from_promise(*this)};
     }

@@ -2,12 +2,12 @@
 // payload type of the engine's typed event queue.
 //
 // The common engine callbacks (timer lambdas, delivery thunks capturing a
-// couple of pointers) fit in the 48-byte inline buffer and cost zero heap
-// allocations to enqueue; oversized captures (e.g. a full Message copy on
-// the network delivery path) fall back to one heap allocation, exactly like
-// std::function but without its copyability requirement or 16-byte SBO
-// limit. Relocation (vector growth, pool reuse) is a flat function-pointer
-// call on a 3-entry ops table.
+// couple of pointers — the network delivery path boxes its Message and
+// captures the box) fit in the 48-byte inline buffer and cost zero heap
+// allocations to enqueue; oversized captures fall back to one heap
+// allocation, exactly like std::function but without its copyability
+// requirement or 16-byte SBO limit. Relocation (vector growth, pool reuse)
+// is a flat function-pointer call on a 3-entry ops table.
 #pragma once
 
 #include <cstddef>

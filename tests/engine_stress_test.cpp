@@ -1,6 +1,7 @@
 // Stress and invariants for the typed-event engine core: interleaved timer
 // storms, same-timestamp bursts, kill-while-queued, pooled waiter-slot
-// recycling, allocation-free steady state, and run-to-run determinism.
+// recycling, allocation-free steady state (engine timers, and the MPI
+// message path on top of it), and run-to-run determinism.
 //
 // This TU replaces the global allocator with a counting shim so the
 // zero-allocation acceptance criterion ("no heap traffic per steady-state
@@ -13,8 +14,10 @@
 
 #include "apps/simple.hpp"
 #include "exp/experiment.hpp"
+#include "mpi/runtime.hpp"
 #include "sim/awaitables.hpp"
 #include "sim/channel.hpp"
+#include "sim/cluster.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
@@ -32,10 +35,24 @@ void* operator new[](std::size_t n) {
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// left to the library, they would pair its operator new with our free.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_allocs;
+  return std::malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_allocs;
+  return std::malloc(n);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace gcr::sim {
 namespace {
@@ -231,6 +248,90 @@ TEST(EngineStress, DeterministicAcrossRuns) {
 
 namespace gcr {
 namespace {
+
+/// Control-plane echo: each rank's daemon answers every control message
+/// with a two-field one back to its sender, through a per-message handler
+/// coroutine (the shape of GroupProtocol::handle_ctrl), so one kick keeps
+/// control traffic flowing for the whole run. before_send and at_safepoint
+/// are coroutines too, so every app message also costs their frames.
+class CtrlEcho : public mpi::Interposer {
+ public:
+  explicit CtrlEcho(mpi::Runtime& rt) : rt_(&rt) {}
+
+  sim::Co<bool> before_send(mpi::Rank&, mpi::Message&) override {
+    co_return true;
+  }
+  void on_deliver(mpi::Rank&, const mpi::Message&) override {}
+  sim::Co<void> at_safepoint(mpi::Rank&) override { co_return; }
+  void rank_started(mpi::Rank& rank) override {
+    rt_->set_daemon_proc(rank, rt_->engine().spawn("echo", serve(rank)));
+  }
+
+  std::uint64_t handled = 0;
+
+ private:
+  sim::Co<void> serve(mpi::Rank& rank) {
+    for (;;) {
+      mpi::Message msg = co_await rank.ctrl_in().pop();
+      co_await handle(rank, msg);
+    }
+  }
+  sim::Co<void> handle(mpi::Rank& rank, mpi::Message msg) {
+    ++handled;
+    co_await sim::delay(rt_->engine(), 3'000);
+    mpi::Message reply;
+    reply.ctrl = mpi::CtrlKind::kBookmark;
+    reply.ctrl_data = {msg.ctrl_data.at(0) + 1, msg.ctrl_data.at(1)};
+    rt_->send_ctrl(rank.id(), msg.src, reply);
+  }
+
+  mpi::Runtime* rt_;
+};
+
+// The message path's allocation discipline (DESIGN.md §2.3): once warm,
+// app send/recv round trips (send, recv, wait_match, compute, before_send
+// and at_safepoint frames; the boxed wire message) and control messages
+// (inline payload, handler frame) on the flat fabric call the global
+// operator new zero times.
+TEST(EngineStress, SteadyStateMessagePathIsAllocationFree) {
+  sim::ClusterParams params;
+  params.num_nodes = 3;
+  params.jitter.enabled = false;
+  sim::Cluster cluster(params);
+  mpi::Runtime rt(cluster, 2);
+  CtrlEcho echo(rt);
+  rt.set_protocol(&echo);
+  rt.start_app([](mpi::AppHandle h) -> sim::Co<void> {
+    for (std::uint64_t i = 0; i < 3000; ++i) {
+      co_await h.safepoint(i);
+      if (h.id() == 0) {
+        co_await h.send(1, 1, 4096);
+        (void)co_await h.recv(1, 2);
+      } else {
+        (void)co_await h.recv(0, 1);
+        co_await h.send(0, 2, 4096);
+      }
+      co_await h.compute(1e-5);
+    }
+  });
+  mpi::Message kick;
+  kick.ctrl = mpi::CtrlKind::kBookmark;
+  kick.ctrl_data = {0, 7};
+  rt.send_ctrl(0, 1, kick);
+
+  sim::Engine& eng = cluster.engine();
+  eng.run(sim::from_seconds(0.01));  // warm-up: recycler and pools fill
+  const std::int64_t sent_before = rt.app_messages_sent();
+  const std::uint64_t handled_before = echo.handled;
+  const std::size_t allocs_before = g_allocs;
+  eng.run(sim::from_seconds(0.1));
+  const std::size_t delta_allocs = g_allocs - allocs_before;
+  EXPECT_GT(rt.app_messages_sent() - sent_before, 150);
+  EXPECT_GT(echo.handled - handled_before, 500u);
+  EXPECT_EQ(delta_allocs, 0u);
+  eng.run_while([&rt] { return !rt.job_finished(); });  // the echo never ends
+  EXPECT_TRUE(rt.job_finished());
+}
 
 // Full-stack determinism: the same seed must produce an identical
 // communication trace through the MPI runtime, network, and jitter models.

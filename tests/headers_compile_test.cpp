@@ -37,6 +37,7 @@
 #include "sim/faults.hpp"
 #include "sim/jitter.hpp"
 #include "sim/network.hpp"
+#include "sim/ring.hpp"
 #include "sim/smallfn.hpp"
 #include "sim/storage.hpp"
 #include "sim/time.hpp"
@@ -48,6 +49,7 @@
 #include "util/assert.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
+#include "util/recycle.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

@@ -286,6 +286,67 @@ TEST(Runtime, RestoreReadsPeersAbsentFromSnapshotAsZero) {
   EXPECT_EQ(r1.peer(2).consumed, 0u);
 }
 
+TEST(CtrlPayload, InlineFieldsAndCheckedAccess) {
+  CtrlPayload none;
+  EXPECT_EQ(none.size(), 0u);
+  const CtrlPayload two = {7, -1};
+  EXPECT_EQ(two.size(), 2u);
+  EXPECT_EQ(two.at(0), 7);
+  EXPECT_EQ(two.at(1), -1);
+  Message m;
+  m.ctrl_data = {42};
+  EXPECT_EQ(m.ctrl_data.size(), 1u);
+  EXPECT_EQ(m.ctrl_data.at(0), 42);
+}
+
+TEST(CtrlPayloadDeathTest, MoreThanTwoFieldsAborts) {
+  EXPECT_DEATH((void)CtrlPayload({1, 2, 3}), "more than two fields");
+}
+
+TEST(CtrlPayloadDeathTest, ReadPastTheFieldsAborts) {
+  const CtrlPayload one = {5};
+  EXPECT_DEATH((void)one.at(1), "out of range");
+}
+
+// The wire size of a control message is kSyncBytes (8) + 8 per field plus
+// the 64-byte frame header, so every kind's size is pinned by the fields
+// the protocols send for it (the enum's comments); an inline payload must
+// not change any of them.
+TEST(Runtime, ControlWireBytesPerKind) {
+  struct Shape {
+    CtrlKind kind;
+    CtrlPayload fields;
+    std::int64_t wire_bytes;
+  };
+  const std::vector<Shape> shapes = {
+      {CtrlKind::kCkptRequest, {}, 72},
+      {CtrlKind::kPrepare, {1}, 80},
+      {CtrlKind::kPrepareReply, {1, 9}, 88},
+      {CtrlKind::kCommit, {1, 11}, 88},
+      {CtrlKind::kAbort, {1}, 80},
+      {CtrlKind::kBookmark, {1, 4096}, 88},
+      {CtrlKind::kBarrierAck, {1, 0}, 88},
+      {CtrlKind::kBarrierGo, {1, 0}, 88},
+      {CtrlKind::kExchangeRequest, {100, 200}, 88},
+      {CtrlKind::kExchangeReply, {100}, 80},
+      {CtrlKind::kVclRequest, {3}, 80},
+      {CtrlKind::kVclMarker, {3}, 80},
+  };
+  Fixture f(2);
+  const sim::Network& net = f.cluster.network();
+  for (const Shape& shape : shapes) {
+    Message msg;
+    msg.ctrl = shape.kind;
+    msg.ctrl_data = shape.fields;
+    const std::int64_t before = net.total_bytes();
+    f.rt.send_ctrl(0, 1, msg);
+    EXPECT_EQ(net.total_bytes() - before, shape.wire_bytes)
+        << "kind " << static_cast<int>(shape.kind);
+  }
+  f.cluster.engine().run();
+  EXPECT_EQ(f.rt.rank(1).ctrl_in().size(), shapes.size());
+}
+
 TEST(RuntimeDeathTest, TwoOutstandingRecvsForbidden) {
   // The runtime supports exactly one blocking recv per rank; protocol code
   // must never recv concurrently with the app. Simulated via direct call.

@@ -6,6 +6,7 @@
 #include "sim/awaitables.hpp"
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
+#include "sim/ring.hpp"
 
 namespace gcr::sim {
 namespace {
@@ -215,6 +216,43 @@ TEST(Channel, ClearDropsBuffered) {
   ch.push(2);
   ch.clear();
   EXPECT_TRUE(ch.empty());
+}
+
+std::vector<int> ring_contents(const Ring<int>& r) {
+  std::vector<int> out;
+  for (std::size_t i = 0; i < r.size(); ++i) out.push_back(r[i]);
+  return out;
+}
+
+TEST(Ring, FifoAcrossWrapAndGrowth) {
+  Ring<int> r;
+  int next = 0;
+  int expect = 0;
+  // Interleave pushes and pops so the head wraps before each growth.
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 5 + round; ++i) r.push_back(next++);
+    for (int i = 0; i < 3; ++i) EXPECT_EQ(r.pop_front(), expect++);
+  }
+  while (!r.empty()) EXPECT_EQ(r.pop_front(), expect++);
+  EXPECT_EQ(expect, next);
+}
+
+TEST(Ring, EraseKeepsTheOrderOfTheRest) {
+  Ring<int> r;
+  for (int i = 0; i < 6; ++i) r.push_back(i);
+  (void)r.pop_front();
+  (void)r.pop_front();
+  for (int i = 6; i < 9; ++i) r.push_back(i);  // wraps past the end
+  r.erase(3);                                   // element 5
+  EXPECT_EQ(ring_contents(r), (std::vector<int>{2, 3, 4, 6, 7, 8}));
+  r.erase(0);
+  EXPECT_EQ(ring_contents(r), (std::vector<int>{3, 4, 6, 7, 8}));
+  r.erase(r.size() - 1);
+  EXPECT_EQ(ring_contents(r), (std::vector<int>{3, 4, 6, 7}));
+  r.clear();
+  EXPECT_TRUE(r.empty());
+  r.push_back(42);  // usable again after a clear released a grown buffer
+  EXPECT_EQ(r.pop_front(), 42);
 }
 
 }  // namespace

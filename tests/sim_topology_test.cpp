@@ -28,10 +28,24 @@ void* operator new[](std::size_t n) {
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// left to the library, they would pair its operator new with our free.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_allocs;
+  return std::malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_allocs;
+  return std::malloc(n);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace gcr::sim {
 namespace {

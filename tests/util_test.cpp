@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "util/cli.hpp"
+#include "util/recycle.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -208,6 +210,68 @@ TEST(Units, FormatDuration) {
   EXPECT_EQ(format_duration_ns(1500), "1.500 us");
   EXPECT_EQ(format_duration_ns(2'500'000), "2.500 ms");
   EXPECT_EQ(format_duration_ns(3'000'000'000LL), "3.000 s");
+}
+
+TEST(Recycler, SizeClassesRoundUpToSixteenBytes) {
+  EXPECT_EQ(recycle::block_bytes(0), 16u);
+  EXPECT_EQ(recycle::block_bytes(1), 16u);
+  EXPECT_EQ(recycle::block_bytes(16), 16u);
+  EXPECT_EQ(recycle::block_bytes(17), 32u);
+  EXPECT_EQ(recycle::block_bytes(200), 208u);
+  EXPECT_EQ(recycle::block_bytes(2048), 2048u);
+  EXPECT_EQ(recycle::block_bytes(2049), 2049u);  // past the classes
+}
+
+TEST(Recycler, FreedBlockIsReusedByItsClass) {
+  void* a = recycle::allocate(200);
+  recycle::deallocate(a, 200);
+  EXPECT_GE(recycle::parked(200), 1u);
+  void* b = recycle::allocate(193);  // same 208-byte class
+  EXPECT_EQ(b, a);
+  recycle::deallocate(b, 193);
+  void* big = recycle::allocate(4096);  // straight to the heap
+  recycle::deallocate(big, 4096);
+  EXPECT_EQ(recycle::parked(4096), 0u);
+}
+
+TEST(Recycler, CapReturnsTheExcess) {
+  constexpr std::size_t kBytes = 1936;  // a class nothing else here uses
+  std::vector<void*> blocks;
+  for (std::size_t i = 0; i < recycle::kClassCap + 10; ++i) {
+    blocks.push_back(recycle::allocate(kBytes));
+  }
+  EXPECT_EQ(recycle::parked(kBytes), 0u);
+  for (void* p : blocks) recycle::deallocate(p, kBytes);
+  EXPECT_EQ(recycle::parked(kBytes), recycle::kClassCap);
+}
+
+// A thread-local object constructed before the thread's first recycled
+// block is destroyed after the recycler's drain, so its frees (here, and of
+// coroutine frames held by thread-local or static objects) come after the
+// lists are gone: they must go to the heap, not park.
+struct LateFreer {
+  void* block = nullptr;
+  std::size_t* parked_after = nullptr;
+  ~LateFreer() {
+    recycle::deallocate(block, 64);
+    void* again = recycle::allocate(64);
+    recycle::deallocate(again, 64);
+    *parked_after = recycle::parked(64);
+  }
+};
+
+TEST(Recycler, FreesAfterThreadExitGoToTheHeap) {
+  std::size_t parked_after = 99;
+  std::thread t([&parked_after] {
+    thread_local LateFreer late;  // constructed before the recycler's drain
+    late.parked_after = &parked_after;
+    late.block = recycle::allocate(64);
+    void* p = recycle::allocate(64);
+    recycle::deallocate(p, 64);
+    EXPECT_EQ(recycle::parked(64), 1u);
+  });
+  t.join();
+  EXPECT_EQ(parked_after, 0u);
 }
 
 }  // namespace
